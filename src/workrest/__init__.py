@@ -1,12 +1,6 @@
 """Deterministic simulator and policy library for work-rest scheduling."""
 
-from .delegation import (
-    DelegationConfig,
-    apportion,
-    collective_capacity,
-    delegate,
-    slot_workload,
-)
+from .delegation import apportion, collective_capacity, slot_workload
 from .engine import (
     ConstantMoods,
     CounterMoods,
@@ -19,23 +13,10 @@ from .engine import (
     SlotReport,
     compute_lyapunov,
     drift_bound_sides,
-    mood_sample,
     run,
     step,
 )
-from .policies import (
-    POLICY_KINDS,
-    PolicyDecision,
-    PolicyParams,
-    compute_wri,
-    decide,
-    decide_ac,
-    decide_cpl,
-    decide_me,
-    decide_mt,
-    decide_mw,
-    work_effort,
-)
+from .policies import POLICY_KINDS, PolicyParams, decide
 from .population import Distribution, PopulationSpec, generate, load_csv, write_csv
 from .sweep import (
     ReportRow,
@@ -47,15 +28,6 @@ from .sweep import (
     run_sweep,
     sweep_rows_to_csv,
 )
-from .workers import (
-    TaskCohort,
-    WorkerProfile,
-    WorkerState,
-    complete_and_age,
-    compute_mu,
-    enqueue_arrivals,
-    update_backlog_count,
-    update_conceptual_queue,
-)
+from .workers import WorkerProfile
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 Subcommands: ``gen-workers`` (synthetic worker CSV), ``simulate`` (one
 run), ``sweep`` (full policy/knob/load-factor grid) and ``report``
 (per-policy aggregates of a sweep). Exit codes: 0 success, 1 I/O
-failure, 2 usage or validation error.
+failure, 2 usage or validation error. ``sweep`` also prints one health
+line to stderr: drift-bound violations per slot, the stability
+inequality and task conservation over every grid point.
 
 ``simulate`` and ``sweep`` also accept ``--config FILE`` with a JSON
 object whose keys mirror the long flag names (underscored); explicitly
@@ -17,7 +19,7 @@ import json
 import sys
 
 from .engine import SimConfig, run
-from .policies import POLICY_KINDS, PolicyParams
+from .policies import KNOB_FIELDS, POLICY_KINDS, PolicyParams
 from .population import Distribution, PopulationSpec, generate, load_csv, write_csv
 from .sweep import (
     SWEEP_HEADER,
@@ -29,8 +31,6 @@ from .sweep import (
     run_sweep,
     sweep_rows_to_csv,
 )
-
-_KNOB_FLAG = {"mt": "theta1", "mw": "theta2", "ac": "sigma", "cpl": "phi"}
 
 
 class UsageError(ValueError):
@@ -115,8 +115,8 @@ def _build_policy(args: argparse.Namespace) -> PolicyParams:
     kind = str(args.policy).lower()
     if kind not in POLICY_KINDS:
         raise UsageError(f"unknown policy {args.policy!r}")
-    knobs = {name: getattr(args, name) for name in ("phi", "sigma", "theta1", "theta2")}
-    wanted = _KNOB_FLAG.get(kind)
+    knobs = {name: getattr(args, name) for name in KNOB_FIELDS.values() if name}
+    wanted = KNOB_FIELDS[kind]
     for name, value in knobs.items():
         if value is not None and name != wanted:
             raise UsageError(f"--{name} is not a knob of policy {kind!r}")
@@ -182,7 +182,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
     args.deadline = _parse_deadline(args.deadline) if isinstance(args.deadline, str) else args.deadline
     if isinstance(args.policies, (list, tuple)):
         policies = tuple(str(p).lower() for p in args.policies)
@@ -191,7 +191,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for p in policies:
         if p not in POLICY_KINDS:
             raise UsageError(f"unknown policy {p!r} in --policies")
-    spec = SweepSpec(
+    return SweepSpec(
         policies=policies,
         phi_grid=_parse_grid(args.phi_grid),
         sigma_grid=_parse_grid(args.sigma_grid),
@@ -202,9 +202,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         deadline=args.deadline,
     )
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    spec = _sweep_spec(args)
     population = _resolve_population(args)
-    rows = run_sweep(spec, population, jobs=args.jobs)
+    rows, diagnostics = run_sweep(spec, population, jobs=args.jobs, collect_diagnostics=True)
     _write_text(args.out, sweep_rows_to_csv(rows))
+    violations = sum(d.drift_violations for d in diagnostics)
+    slots = sum(d.slots for d in diagnostics)
+    print(
+        f"drift-bound violations: {violations}/{slots} slots; "
+        f"stability: {all(d.stability_ok for d in diagnostics)}; "
+        f"task conservation: {all(d.conserves_tasks for d in diagnostics)}",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -10,31 +10,11 @@ rounding to keep the split integral and exactly conserving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .workers import WorkerProfile, WorkerState
-
-
-@dataclass(frozen=True)
-class DelegationConfig:
-    """Workload knobs for a run: load factor, deadline, cached capacity."""
-
-    load_factor: float
-    deadline: int | None
-    omega: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.load_factor <= 1.0:
-            raise ValueError(
-                f"load_factor must be in (0, 1], got {self.load_factor}"
-            )
-        if self.deadline is not None and self.deadline < 1:
-            raise ValueError(f"deadline must be >= 1, got {self.deadline}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+from .workers import WorkerProfile
 
 
 def collective_capacity(population: Sequence[WorkerProfile]) -> float:
@@ -61,40 +41,29 @@ def apportion(w_req: int, weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ``w_req`` exactly.
     """
     n = len(weights)
-    out = np.zeros(n, dtype=np.int64)
     if w_req == 0:
-        return out
+        return np.zeros(n, dtype=np.int64)
     total = float(weights.sum())
     if total <= 0.0:
-        order = np.argsort(ids, kind="stable")
-        base, extra = divmod(w_req, n)
-        out[:] = base
-        out[order[:extra]] += 1
+        out = np.full(n, w_req // n, dtype=np.int64)
+        out[np.argsort(ids, kind="stable")[: w_req % n]] += 1
         return out
 
     shares = w_req * weights / total
     base = np.floor(shares).astype(np.int64)
-    leftover = w_req - int(base.sum())
     remainders = shares - base
     # Award order: remainder desc, weight desc, id asc. Workers with zero
     # weight never receive units while any positive weight exists.
-    order = [int(i) for i in np.lexsort((ids, -weights, -remainders)) if weights[i] > 0.0]
-    out = base
-    i = 0
-    while leftover > 0:
-        out[order[i % len(order)]] += 1
-        leftover -= 1
-        i += 1
-    # FP noise can in principle push floored shares over the target; trim
-    # deterministically from the end of the award order.
-    i = len(order) - 1
-    while leftover < 0:
-        idx = order[i % len(order)]
-        if out[idx] > 0:
-            out[idx] -= 1
-            leftover += 1
-        i -= 1
-    return out
+    order = np.lexsort((ids, -weights, -remainders))
+    order = order[weights[order] > 0.0]
+    # Every remainder is < 1, so the leftover fits in one award per worker.
+    leftover = w_req - int(base.sum())
+    if not 0 <= leftover <= len(order):
+        raise ArithmeticError(
+            f"largest-remainder leftover {leftover} outside [0, {len(order)}]"
+        )
+    base[order[:leftover]] += 1
+    return base
 
 
 def delegation_weights(
@@ -102,23 +71,3 @@ def delegation_weights(
 ) -> np.ndarray:
     """Per-worker delegation weight: r * mu_max / (1 + current backlog)."""
     return reputation * mu_max / (1.0 + backlog)
-
-
-def delegate(
-    w_req: int,
-    population: Sequence[WorkerProfile],
-    states: Sequence[WorkerState],
-) -> list[int]:
-    """Allocate this slot's ``w_req`` tasks across workers.
-
-    Higher reputation-weighted capacity attracts more tasks; a larger
-    pending backlog repels them.
-    """
-    if len(population) != len(states):
-        raise ValueError("population and states must align by index")
-    rep = np.array([p.reputation for p in population])
-    cap = np.array([p.mu_max for p in population], dtype=np.int64)
-    q = np.array([s.q for s in states], dtype=np.int64)
-    ids = np.array([p.id for p in population], dtype=np.int64)
-    weights = delegation_weights(rep, cap, q)
-    return [int(v) for v in apportion(w_req, weights, ids)]

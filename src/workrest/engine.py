@@ -12,9 +12,9 @@ Each slot runs a fixed phase order over the whole population:
 8. emit the slot report
 
 State is held in flat arrays (one row per worker, one backlog column per
-cohort age) so a slot is a handful of vector operations; the scalar
-operations in ``workers``/``policies``/``delegation`` define the same
-semantics one worker at a time and serve as the test oracle.
+cohort age) so a slot is a handful of vector operations. The same
+semantics, one worker at a time, live in ``tests/oracle.py`` as the test
+oracle that this engine is checked against slot by slot.
 """
 
 from __future__ import annotations
@@ -24,21 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .delegation import (
-    DelegationConfig,
-    apportion,
-    collective_capacity,
-    delegation_weights,
-    slot_workload,
-)
+from .delegation import apportion, collective_capacity, delegation_weights, slot_workload
 from .numerics import snap_floor_array
-from .policies import PolicyParams
-from .rng import mood_sample, uniform01_array
-from .workers import TaskCohort, WorkerProfile, WorkerState
+from .policies import PolicyParams, decide
+from .rng import uniform01_array
+from .workers import WorkerProfile
 
 __all__ = [
     "SimulationError", "SimConfig", "SlotReport", "RunMetrics", "SimState",
-    "CounterMoods", "ConstantMoods", "MatrixMoods", "mood_sample",
+    "CounterMoods", "ConstantMoods", "MatrixMoods",
     "compute_lyapunov", "drift_bound_sides", "step", "run", "RunResult",
 ]
 
@@ -136,10 +130,7 @@ class SimState:
         omega = collective_capacity(population)
         if omega <= 0.0:
             raise ValueError("population has zero collective capacity")
-        delegation = DelegationConfig(
-            load_factor=config.load_factor, deadline=config.deadline, omega=omega
-        )
-        w_req = slot_workload(delegation.load_factor, delegation.omega)
+        w_req = slot_workload(config.load_factor, omega)
         mu_max = np.array([p.mu_max for p in population], dtype=np.int64)
         width = config.deadline if config.deadline is not None else 16
         return cls(
@@ -162,20 +153,6 @@ class SimState:
     @property
     def n_workers(self) -> int:
         return len(self.ids)
-
-    def to_worker_states(self) -> list[WorkerState]:
-        """Export per-worker states with oldest-first cohort FIFOs."""
-        out = []
-        for i in range(self.n_workers):
-            backlog = [
-                TaskCohort(count=int(self.buckets[i, a]), age=a)
-                for a in range(self.buckets.shape[1] - 1, -1, -1)
-                if self.buckets[i, a] > 0
-            ]
-            out.append(
-                WorkerState(backlog=backlog, q=int(self.q[i]), conceptual_q=int(self.Q[i]))
-            )
-        return out
 
 
 class CounterMoods:
@@ -210,14 +187,9 @@ class MatrixMoods:
         return self.values[slot]
 
 
-def compute_lyapunov(states: "SimState | Sequence[WorkerState]") -> float:
+def compute_lyapunov(state: SimState) -> float:
     """Work-concentration measure: half the sum of squared queue lengths."""
-    if isinstance(states, SimState):
-        q, Q = states.q, states.Q
-    else:
-        q = np.array([s.q for s in states], dtype=np.int64)
-        Q = np.array([s.conceptual_q for s in states], dtype=np.int64)
-    return int((q * q).sum() + (Q * Q).sum()) / 2.0
+    return int((state.q * state.q).sum() + (state.Q * state.Q).sum()) / 2.0
 
 
 def drift_bound_sides(
@@ -257,31 +229,6 @@ def drift_bound_sides(
     return lhs2 / 2.0, rhs2 / 2.0
 
 
-def _decide_vectorized(
-    params: PolicyParams, q: np.ndarray, Q: np.ndarray, m: np.ndarray, mu_max: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Population-wide policy decision; mirrors ``policies.decide`` exactly."""
-    d = m * mu_max
-    if params.kind == "me":
-        work = q > 0
-    elif params.kind == "mt":
-        work = (m >= params.theta1) & (q > 0)
-    elif params.kind == "mw":
-        potential = q * snap_floor_array(1.0 * d)
-        threshold = mu_max * snap_floor_array(1.0 * (params.theta2 * mu_max))
-        work = (potential >= threshold) & (q > 0)
-    elif params.kind == "ac":
-        work = params.sigma - q * m * mu_max < 0.0
-    else:  # cpl
-        work = params.phi - (q + Q) * m * mu_max < 0.0
-
-    safe = np.where(d > 0.0, d, 1.0)
-    effort_if_work = np.where(d > 0.0, np.minimum(1.0, q / safe), 1.0)
-    xi = np.where(work, effort_if_work, 0.0)
-    mu = np.where(work, snap_floor_array(xi * d), 0)
-    return xi, mu
-
-
 def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Remove ``mu`` tasks per worker, draining the oldest ages first."""
     rev = buckets[:, ::-1]
@@ -307,9 +254,14 @@ def _step_arrays(
 
     # Phase 3: moods.
     m = np.asarray(mood_source(t, state.ids), dtype=float)
+    if m.shape != state.ids.shape:
+        raise ValueError(f"slot {t}: mood source gave shape {m.shape}, expected {state.ids.shape}")
+    if not (m.min() >= 0.0 and m.max() <= 1.0):
+        raise ValueError(f"slot {t}: moods must lie in [0, 1], got [{m.min()}, {m.max()}]")
 
-    # Phase 4: policy decisions.
-    xi, mu = _decide_vectorized(config.policy, q_hat, state.Q, m, state.mu_max)
+    # Phase 4: policy decisions (the floor is this module's binding, looked
+    # up every slot like the other per-slot callables).
+    xi, mu = decide(config.policy, q_hat, state.Q, m, state.mu_max, floor=snap_floor_array)
     if (mu > q_hat).any():
         bad = int(np.argmax(mu > q_hat))
         raise SimulationError(
@@ -370,18 +322,10 @@ def _step_arrays(
     return report, per_worker
 
 
-def step(
-    state: SimState,
-    population: Sequence[WorkerProfile],
-    config: SimConfig,
-    t: int,
-    mood_source=None,
-) -> SlotReport:
+def step(state: SimState, config: SimConfig, t: int, mood_source=None) -> SlotReport:
     """Advance one slot through the eight phases, mutating ``state``."""
     if t >= config.slots:
         raise ValueError(f"slot {t} out of range for a {config.slots}-slot run")
-    if len(population) != state.n_workers:
-        raise ValueError("population does not match simulation state")
     if mood_source is None:
         mood_source = CounterMoods(config.seed)
     report, _ = _step_arrays(state, config, t, mood_source)

@@ -1,28 +1,39 @@
-"""Work-rest decision policies.
+"""Work-rest decision policies: one gated rule, five parameter sets.
 
-Five policies share one interface: given the observed backlog q, the
-conceptual queue Q, the current mood and the worker's capacity, return
-how much effort to spend this slot and how many tasks that completes.
+Every policy decides each worker's slot from its observed backlog q, its
+conceptual queue Q, its mood m and its capacity mu_max with one rule:
+
+    work = (q > 0)
+         & (m >= theta1)
+         & (q * floor(m * mu_max) >= mu_max * floor(theta2 * mu_max))
+         & (k - (q + w * Q) * m * mu_max < 0)
+
+A kind sets the gates (theta1, theta2, k, w); every other gate is left at
+a value where it always passes (theta1 = theta2 = 0, k = -inf, w = 0):
 
 * ``me``  - max effort: work whenever tasks are pending.
-* ``mt``  - mood threshold: work when mood >= theta1 and tasks pend.
-* ``mw``  - mood-and-workload threshold on q * mu(1, mood).
-* ``ac``  - index rule on backlog pressure only: rest while
-            sigma - q*mood*mu_max >= 0.
-* ``cpl`` - index rule that adds deferred-work pressure: rest while
-            phi - (q+Q)*mood*mu_max >= 0.
+* ``mt``  - mood threshold: theta1 is the knob.
+* ``mw``  - mood-and-workload threshold: theta2 is the knob.
+* ``ac``  - index rule on backlog pressure only: k = sigma, w = 0.
+* ``cpl`` - index rule that adds deferred-work pressure: k = phi, w = 1.
 
-All work branches use the same effort formula: just enough effort to
-clear the backlog at the current mood, capped at 1.
+A worker that works spends just enough effort to clear its backlog at the
+current mood, capped at 1 (and 1 when mood * mu_max is zero), and
+completes floor(effort * mood * mu_max) tasks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .workers import compute_mu
+import numpy as np
 
-POLICY_KINDS = ("me", "mt", "mw", "ac", "cpl")
+from .numerics import snap_floor_array
+
+# Policy kind -> the PolicyParams field it reads as its knob.
+KNOB_FIELDS = {"me": None, "mt": "theta1", "mw": "theta2", "ac": "sigma", "cpl": "phi"}
+POLICY_KINDS = tuple(KNOB_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -36,112 +47,60 @@ class PolicyParams:
     theta2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in KNOB_FIELDS:
             raise ValueError(
                 f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}"
             )
-        if self.kind == "cpl":
-            if self.phi is None or self.phi <= 0:
-                raise ValueError("cpl requires phi > 0")
-        elif self.kind == "ac":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("ac requires sigma > 0")
-        elif self.kind == "mt":
-            if self.theta1 is None or not 0.0 <= self.theta1 <= 1.0:
-                raise ValueError("mt requires theta1 in [0, 1]")
-        elif self.kind == "mw":
-            if self.theta2 is None or not 0.0 <= self.theta2 <= 1.0:
-                raise ValueError("mw requires theta2 in [0, 1]")
+        knob = KNOB_FIELDS[self.kind]
+        value = None if knob is None else getattr(self, knob)
+        if knob in ("theta1", "theta2"):
+            if value is None or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{self.kind} requires {knob} in [0, 1]")
+        elif knob is not None and (value is None or value <= 0):
+            raise ValueError(f"{self.kind} requires {knob} > 0")
 
     @property
     def knob_name(self) -> str:
-        return {"me": "none", "mt": "theta1", "mw": "theta2",
-                "ac": "sigma", "cpl": "phi"}[self.kind]
+        return KNOB_FIELDS[self.kind] or "none"
 
     @property
     def knob_value(self) -> float:
-        return {"me": 0.0, "mt": self.theta1, "mw": self.theta2,
-                "ac": self.sigma, "cpl": self.phi}[self.kind]
+        knob = KNOB_FIELDS[self.kind]
+        return 0.0 if knob is None else getattr(self, knob)
+
+    @property
+    def gates(self) -> tuple[float, float, float, int]:
+        """``(theta1, theta2, k, w)`` of the gated rule for this kind."""
+        knob, value = KNOB_FIELDS[self.kind], self.knob_value
+        return (
+            value if knob == "theta1" else 0.0,
+            value if knob == "theta2" else 0.0,
+            value if knob in ("sigma", "phi") else -math.inf,
+            1 if knob == "phi" else 0,
+        )
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
-    """Chosen effort in [0, 1] and the tasks it completes."""
+def decide(
+    params: PolicyParams,
+    q: np.ndarray,
+    Q: np.ndarray,
+    m: np.ndarray,
+    mu_max: np.ndarray,
+    floor=snap_floor_array,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Population-wide decision: per-worker effort and tasks completed.
 
-    effort: float
-    completed: int
-
-
-REST = PolicyDecision(effort=0.0, completed=0)
-
-
-def compute_wri(phi: float, q: int, Q: int, mood: float, mu_max: int) -> float:
-    """Work-rest index: phi - (q + Q) * mood * mu_max.
-
-    Negative values mean queue pressure outweighs the rest emphasis phi,
-    so the worker should work this slot.
+    ``floor`` is the snapping floor; callers may pass their own binding of
+    ``snap_floor_array`` so that its calls can be swapped out or timed.
     """
-    return phi - (q + Q) * mood * mu_max
-
-
-def work_effort(q: int, mood: float, mu_max: int) -> float:
-    """Effort that clears the backlog at current mood, capped at 1.
-
-    When mood * mu_max is zero no effort level is productive; returns 1 so
-    that always-work policies still register full effort spent.
-    """
-    d = mood * mu_max
-    if d == 0.0:
-        return 1.0
-    return min(1.0, q / d)
-
-
-def _work(q: int, mood: float, mu_max: int) -> PolicyDecision:
-    effort = work_effort(q, mood, mu_max)
-    return PolicyDecision(effort=effort, completed=compute_mu(effort, mood, mu_max))
-
-
-def decide_cpl(params: PolicyParams, q: int, Q: int, mood: float, mu_max: int) -> PolicyDecision:
-    """Work iff the work-rest index is strictly negative."""
-    if compute_wri(params.phi, q, Q, mood, mu_max) < 0.0:
-        return _work(q, mood, mu_max)
-    return REST
-
-
-def decide_me(q: int, mood: float, mu_max: int) -> PolicyDecision:
-    if q > 0:
-        return _work(q, mood, mu_max)
-    return REST
-
-
-def decide_mt(theta1: float, q: int, mood: float, mu_max: int) -> PolicyDecision:
-    if mood >= theta1 and q > 0:
-        return _work(q, mood, mu_max)
-    return REST
-
-
-def decide_mw(theta2: float, q: int, mood: float, mu_max: int) -> PolicyDecision:
-    # Threshold on potential output: q * mu(1, mood) vs mu_max * mu(1, theta2).
-    if q > 0 and q * compute_mu(1.0, mood, mu_max) >= mu_max * compute_mu(1.0, theta2, mu_max):
-        return _work(q, mood, mu_max)
-    return REST
-
-
-def decide_ac(sigma: float, q: int, mood: float, mu_max: int) -> PolicyDecision:
-    """Like the index rule but blind to pending time (no conceptual queue)."""
-    if sigma - q * mood * mu_max < 0.0:
-        return _work(q, mood, mu_max)
-    return REST
-
-
-def decide(params: PolicyParams, q: int, Q: int, mood: float, mu_max: int) -> PolicyDecision:
-    """Dispatch to the policy named by ``params.kind``."""
-    if params.kind == "cpl":
-        return decide_cpl(params, q, Q, mood, mu_max)
-    if params.kind == "me":
-        return decide_me(q, mood, mu_max)
-    if params.kind == "mt":
-        return decide_mt(params.theta1, q, mood, mu_max)
-    if params.kind == "mw":
-        return decide_mw(params.theta2, q, mood, mu_max)
-    return decide_ac(params.sigma, q, mood, mu_max)
+    theta1, theta2, k, w = params.gates
+    d = m * mu_max
+    work = (q > 0) & (m >= theta1) & (k - (q + w * Q) * m * mu_max < 0.0)
+    # At theta2 = 0 this gate reads q * floor(d) >= 0 and always passes;
+    # skipping it keeps every kind but mw at one floor call per slot.
+    if theta2 > 0.0:
+        work &= q * floor(1.0 * d) >= mu_max * floor(1.0 * (theta2 * mu_max))
+    safe = np.where(d > 0.0, d, 1.0)
+    effort_if_work = np.where(d > 0.0, np.minimum(1.0, q / safe), 1.0)
+    effort = np.where(work, effort_if_work, 0.0)
+    return effort, np.where(work, floor(effort * d), 0)

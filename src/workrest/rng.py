@@ -39,11 +39,6 @@ def uniform01(seed: int, worker_id: int, counter: int) -> float:
     return mix64(seed, worker_id, counter) / 2.0 ** 64
 
 
-def mood_sample(seed: int, worker_id: int, slot: int) -> float:
-    """Deterministic per-(worker, slot) mood, uniform on [0, 1)."""
-    return uniform01(seed, worker_id, slot)
-
-
 def uniform01_array(seed: int, worker_ids: np.ndarray, counter: int) -> np.ndarray:
     """Vectorized ``uniform01`` over an array of worker ids.
 

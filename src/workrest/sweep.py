@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import RunMetrics, SimConfig, run
-from .policies import POLICY_KINDS, PolicyParams
+from .policies import KNOB_FIELDS, POLICY_KINDS, PolicyParams
 from .workers import WorkerProfile
 
 SWEEP_HEADER = [
@@ -66,12 +66,8 @@ class SweepSpec:
         for kind in self.policies:
             if kind not in POLICY_KINDS:
                 raise ValueError(f"unknown policy {kind!r}")
-        grids = {
-            "mt": self.theta1_grid, "mw": self.theta2_grid,
-            "ac": self.sigma_grid, "cpl": self.phi_grid,
-        }
-        for kind, grid in grids.items():
-            if kind in self.policies and not grid:
+            knob = KNOB_FIELDS[kind]
+            if knob is not None and not getattr(self, f"{knob}_grid"):
                 raise ValueError(f"policy {kind!r} selected but its knob grid is empty")
         if not self.lf_grid:
             raise ValueError("lf_grid must be non-empty")
@@ -90,17 +86,10 @@ class SweepSpec:
         points: list[tuple[PolicyParams, float]] = []
         for lf in self.lf_grid:
             points.append((PolicyParams(kind="me"), lf))
-        knob_grids = {
-            "mt": ("theta1", self.theta1_grid),
-            "mw": ("theta2", self.theta2_grid),
-            "ac": ("sigma", self.sigma_grid),
-            "cpl": ("phi", self.phi_grid),
-        }
-        for kind in ("mt", "mw", "ac", "cpl"):
-            if kind not in self.policies:
+        for kind, knob in KNOB_FIELDS.items():
+            if knob is None or kind not in self.policies:
                 continue
-            knob, grid = knob_grids[kind]
-            for value in grid:
+            for value in getattr(self, f"{knob}_grid"):
                 for lf in self.lf_grid:
                     points.append((PolicyParams(kind=kind, **{knob: value}), lf))
         return points

@@ -1,16 +1,14 @@
-"""Worker identity, backlog state, and the per-slot queue recurrences.
+"""Worker identity: reputation and per-slot capacity.
 
-A worker carries two queues: the real backlog of pending tasks (kept as a
-FIFO of same-age cohorts so that deadline expiry can be applied) and a
-virtual "conceptual" queue that grows whenever the worker rests while
-tasks are pending, encoding how long work has been deferred.
+A worker's queues (the real backlog, kept per task age so that deadline
+expiry can be applied, and the virtual "conceptual" queue that grows
+whenever the worker rests while tasks are pending) live as population-wide
+arrays in ``engine.SimState``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .numerics import snap_floor
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -30,105 +28,3 @@ class WorkerProfile:
             )
         if self.mu_max < 1:
             raise ValueError(f"mu_max must be >= 1, got {self.mu_max}")
-
-
-@dataclass
-class TaskCohort:
-    """Tasks delegated in the same slot; ``age`` counts slots since then."""
-
-    count: int
-    age: int = 0
-
-
-@dataclass
-class WorkerState:
-    """Mutable per-worker queues. ``backlog`` is oldest-cohort-first."""
-
-    backlog: list[TaskCohort] = field(default_factory=list)
-    q: int = 0
-    conceptual_q: int = 0
-
-    def backlog_total(self) -> int:
-        return sum(c.count for c in self.backlog)
-
-
-def compute_mu(effort: float, mood: float, mu_max: int) -> int:
-    """Tasks completed for a given effort/mood: floor(effort*mood*mu_max).
-
-    Uses the snapping floor so that effort values of the form q/(mood*mu_max)
-    yield exactly q tasks despite double rounding.
-    """
-    if not 0.0 <= effort <= 1.0:
-        raise ValueError(f"effort must be in [0, 1], got {effort}")
-    if not 0.0 <= mood <= 1.0:
-        raise ValueError(f"mood must be in [0, 1], got {mood}")
-    if mu_max < 1:
-        raise ValueError(f"mu_max must be >= 1, got {mu_max}")
-    return snap_floor(effort * (mood * mu_max))
-
-
-def update_backlog_count(q: int, arrivals: int, completed: int) -> int:
-    """Count-level backlog recurrence: max[0, q + arrivals - completed].
-
-    This is the oracle the cohort FIFO is checked against.
-    """
-    return max(0, q + arrivals - completed)
-
-
-def update_conceptual_queue(Q: int, q: int, completed: int, mu_max: int) -> int:
-    """Conceptual-queue recurrence.
-
-    Grows by mu_max when the worker rested (completed nothing) with a
-    non-empty backlog, and drains with completions like the real queue.
-    """
-    x = mu_max if (q > 0 and completed == 0) else 0
-    return max(0, Q + x - completed)
-
-
-def enqueue_arrivals(state: WorkerState, arrivals: int) -> None:
-    """Append newly delegated tasks as an age-0 cohort."""
-    if arrivals < 0:
-        raise ValueError(f"arrivals must be non-negative, got {arrivals}")
-    if arrivals > 0:
-        state.backlog.append(TaskCohort(count=arrivals, age=0))
-        state.q += arrivals
-
-
-def complete_and_age(
-    state: WorkerState, completed: int, deadline: int | None
-) -> tuple[WorkerState, int]:
-    """Consume completed tasks oldest-first, age cohorts, expire late ones.
-
-    ``deadline=None`` disables expiry. Mutates and returns ``state`` plus
-    the number of tasks that reached the deadline this slot. Does not touch
-    ``conceptual_q``: that update uses the pre-completion backlog and is
-    applied by the caller before this step.
-    """
-    if completed > state.q:
-        raise ValueError(
-            f"completed ({completed}) exceeds pending backlog ({state.q}); "
-            "policy contract violation"
-        )
-    if deadline is not None and deadline < 1:
-        raise ValueError(f"deadline must be >= 1, got {deadline}")
-
-    remaining = completed
-    while remaining > 0:
-        oldest = state.backlog[0]
-        take = min(oldest.count, remaining)
-        oldest.count -= take
-        remaining -= take
-        if oldest.count == 0:
-            state.backlog.pop(0)
-
-    expired = 0
-    kept: list[TaskCohort] = []
-    for cohort in state.backlog:
-        cohort.age += 1
-        if deadline is not None and cohort.age >= deadline:
-            expired += cohort.count
-        else:
-            kept.append(cohort)
-    state.backlog = kept
-    state.q = state.q - completed - expired
-    return state, expired

@@ -1,7 +1,7 @@
 """Reference simulation built only from the scalar per-worker operations.
 
 Used to cross-check the vectorized engine: same phase order, but every
-update goes through the public scalar APIs one worker at a time.
+update goes through the scalar oracle in ``oracle`` one worker at a time.
 """
 
 from __future__ import annotations
@@ -10,16 +10,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from workrest.delegation import collective_capacity, delegate, slot_workload
-from workrest.policies import PolicyParams, decide
-from workrest.rng import mood_sample
-from workrest.workers import (
-    WorkerProfile,
+from oracle import (
     WorkerState,
     complete_and_age,
+    decide,
+    delegate,
     enqueue_arrivals,
+    mood_sample,
     update_conceptual_queue,
 )
+from workrest.delegation import collective_capacity, slot_workload
+from workrest.policies import PolicyParams
+from workrest.workers import WorkerProfile
 
 
 @dataclass

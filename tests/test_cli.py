@@ -1,9 +1,16 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from conftest import desk_sweep_spec
+from workrest import cli
 from workrest.cli import main
-from workrest.population import load_csv
+from workrest.population import Distribution, PopulationSpec, generate, load_csv
+from workrest.sweep import run_sweep, sweep_rows_to_csv
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def run_cli(*argv):
@@ -226,3 +233,35 @@ class TestSweepAndReport:
 
     def test_report_missing_file_is_io_error(self, tmp_path):
         assert run_cli("report", str(tmp_path / "absent.csv")) == 1
+
+
+class TestExperimentConfigs:
+    """The committed ``results/*.json`` sweep configs reproduce the experiments."""
+
+    def test_desk_config_resolves_to_the_acceptance_grid(self):
+        args = cli.build_parser().parse_args(["sweep", "--config", str(RESULTS / "desk.json")])
+        cli._apply_config_file(args)
+        assert cli._sweep_spec(args) == desk_sweep_spec()
+        assert (args.gen_n, args.workers) == (500, None)
+
+    @pytest.mark.parametrize("name", ["desk", "scaled"])
+    def test_config_sweep_equals_run_sweep(self, tmp_path, capsys, name):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(RESULTS / f"{name}.json"), "--slots", "3",
+                "--out", str(out)]
+        if name == "scaled":
+            workers = tmp_path / "workers.csv"
+            assert run_cli(
+                "gen-workers", "--n", "500", "--seed", "7", "--mu-max-dist", "uniform:4,40",
+                "--out", str(workers),
+            ) == 0
+            argv += ["--workers", str(workers)]
+            spec = PopulationSpec(count=500, mu_max_dist=Distribution.uniform(4, 40), seed=7)
+        else:
+            spec = PopulationSpec(count=500, seed=7)
+        assert run_cli(*argv) == 0
+        rows = run_sweep(dataclasses.replace(desk_sweep_spec(), slots=3), generate(spec))
+        assert out.read_bytes() == sweep_rows_to_csv(rows).encode()
+        assert capsys.readouterr().err == (
+            "drift-bound violations: 0/450 slots; stability: True; task conservation: True\n"
+        )

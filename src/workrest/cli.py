@@ -8,8 +8,9 @@ line to stderr: drift-bound violations per slot, the stability
 inequality and task conservation over every grid point.
 
 ``simulate`` and ``sweep`` also accept ``--config FILE`` with a JSON
-object whose keys mirror the long flag names (underscored); explicitly
-given flags override file values.
+object whose keys mirror the long flag names (underscored). The file's
+values become the subcommand's defaults, so any flag given on the command
+line wins over them.
 """
 
 from __future__ import annotations
@@ -83,22 +84,29 @@ def _parse_dist(text: str) -> Distribution:
     raise UsageError(f"bad distribution {text!r}, expected const:V or uniform:LO,HI")
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill non-explicit flags from the JSON config file, if one was given."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's values, keyed by flag destination."""
     with open(args.config, encoding="utf-8") as fh:
         file_values = json.load(fh)
     if not isinstance(file_values, dict):
         raise UsageError(f"{args.config}: config must be a JSON object")
-    defaults = getattr(args, "_parser_defaults", {})
+    defaults = {}
     for key, value in file_values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr.startswith("_"):
+        if attr not in vars(args) or attr in ("command", "func", "config"):
             raise UsageError(f"{args.config}: unknown config key {key!r}")
-        # A flag counts as explicit iff it differs from the parser default.
-        if getattr(args, attr) == defaults.get(attr):
-            setattr(args, attr, value)
+        defaults[attr] = value
+    return defaults
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse ``argv``; a ``--config`` file supplies the subcommand's defaults."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        commands[args.command].set_defaults(**_config_defaults(args))
+        args = parser.parse_args(argv)
+    return args
 
 
 def _resolve_population(args: argparse.Namespace):
@@ -147,6 +155,9 @@ def cmd_gen_workers(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    for name in ("policy", "lf"):
+        if getattr(args, name) is None:
+            raise UsageError(f"simulate requires --{name} (or {name!r} in --config)")
     args.deadline = _parse_deadline(args.deadline) if isinstance(args.deadline, str) else args.deadline
     policy = _build_policy(args)
     population = _resolve_population(args)
@@ -227,13 +238,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _freeze_defaults(sub: argparse.ArgumentParser) -> None:
-    sub.set_defaults(
-        _parser_defaults={a.dest: a.default for a in sub._actions}
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the subcommand parsers that take ``--config``."""
     parser = argparse.ArgumentParser(
         prog="workrest",
         description="Work-rest scheduling simulator and experiment harness.",
@@ -251,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen_workers)
 
     sim = sub.add_parser("simulate", help="run one configuration")
-    sim.add_argument("--policy", required=True, help="me|mt|mw|ac|cpl")
+    sim.add_argument("--policy", help="me|mt|mw|ac|cpl (required)")
     sim.add_argument("--phi", type=float)
     sim.add_argument("--sigma", type=float)
     sim.add_argument("--theta1", type=float)
     sim.add_argument("--theta2", type=float)
-    sim.add_argument("--lf", type=float, required=True, help="load factor in (0,1]")
+    sim.add_argument("--lf", type=float, help="load factor in (0,1] (required)")
     sim.add_argument("--slots", type=int, default=10_000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--deadline", default=3,
@@ -267,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--per-slot", help="optional per-slot dump CSV path")
     sim.add_argument("--config", help="JSON file with defaults for these flags")
     sim.set_defaults(func=cmd_simulate)
-    _freeze_defaults(sim)
 
     swp = sub.add_parser("sweep", help="run a (policy x knob x load factor) grid")
     swp.add_argument("--policies", default=",".join(POLICY_KINDS))
@@ -285,21 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--out", help="sweep CSV path (default: stdout)")
     swp.add_argument("--config", help="JSON file with defaults for these flags")
     swp.set_defaults(func=cmd_sweep)
-    _freeze_defaults(swp)
 
     rep = sub.add_parser("report", help="aggregate a sweep CSV per policy")
     rep.add_argument("sweep_csv")
     rep.add_argument("--out", help="report CSV path (default: stdout)")
     rep.set_defaults(func=cmd_report)
 
-    return parser
+    return parser, {"simulate": sim, "sweep": swp}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        args = parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

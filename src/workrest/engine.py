@@ -7,12 +7,15 @@ Each slot runs a fixed phase order over the whole population:
 3. sample per-worker mood
 4. policy decision per worker -> (effort, completed)
 5. conceptual-queue update from this slot's backlog and completions
-6. consume completed tasks oldest-first, age cohorts, expire late ones
+6. consume completed tasks oldest-first; with a deadline, expire the
+   oldest cohort and age the rest
 7. Lyapunov / drift-bound diagnostics
 8. emit the slot report
 
-State is held in flat arrays (one row per worker, one backlog column per
-cohort age) so a slot is a handful of vector operations. The same
+State is held in flat arrays (one row per worker) so a slot is a handful
+of vector operations. A task's age matters only through its deadline, so
+the backlog keeps one column per age below the deadline, and a single
+column (the count ``q``) when tasks never expire. The same
 semantics, one worker at a time, live in ``tests/oracle.py`` as the test
 oracle that this engine is checked against slot by slot.
 """
@@ -33,7 +36,7 @@ from .workers import WorkerProfile
 __all__ = [
     "SimulationError", "SimConfig", "SlotReport", "RunMetrics", "SimState",
     "CounterMoods", "ConstantMoods", "MatrixMoods",
-    "compute_lyapunov", "drift_bound_sides", "step", "run", "RunResult",
+    "compute_lyapunov", "drift_bound_sides", "run", "RunResult",
 ]
 
 
@@ -43,20 +46,13 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Identity of one run. ``deadline=None`` disables task expiry.
-
-    ``lambda_max`` / ``mu_max_global`` are the uniform bounds used by the
-    drift diagnostics; left as None they default to the per-slot workload
-    (one worker could receive everything) and the largest capacity.
-    """
+    """Identity of one run. ``deadline=None`` disables task expiry."""
 
     slots: int
     load_factor: float
     policy: PolicyParams
     seed: int = 0
     deadline: int | None = 3
-    lambda_max: int | None = None
-    mu_max_global: int | None = None
 
     def __post_init__(self) -> None:
         if self.slots < 1:
@@ -98,9 +94,13 @@ class RunMetrics:
 class SimState:
     """Per-worker queue state plus run-length accumulators.
 
-    ``buckets[:, a]`` holds each worker's tasks of age ``a``; ``q`` is the
-    carried backlog (before the current slot's arrivals) and always equals
-    the bucket row sums.
+    ``buckets[:, a]`` holds each worker's tasks of age ``a``, one column
+    per age below the deadline; without a deadline it is one column, the
+    whole backlog. ``q`` is the carried backlog (before the current slot's
+    arrivals) and always equals the bucket row sums. ``lambda_max`` and
+    ``mu_max_global`` are the drift diagnostics' uniform bounds: the
+    per-slot workload (one worker could receive everything) and the
+    largest capacity.
     """
 
     ids: np.ndarray
@@ -114,8 +114,6 @@ class SimState:
     w_req: int
     lambda_max: int
     mu_max_global: int
-    deadline: int | None
-    t: int = 0
 
     @classmethod
     def from_population(
@@ -132,22 +130,18 @@ class SimState:
             raise ValueError("population has zero collective capacity")
         w_req = slot_workload(config.load_factor, omega)
         mu_max = np.array([p.mu_max for p in population], dtype=np.int64)
-        width = config.deadline if config.deadline is not None else 16
         return cls(
             ids=ids,
             reputation=np.array([p.reputation for p in population]),
             mu_max=mu_max,
-            buckets=np.zeros((n, width), dtype=np.int64),
+            buckets=np.zeros((n, config.deadline or 1), dtype=np.int64),
             q=np.zeros(n, dtype=np.int64),
             Q=np.zeros(n, dtype=np.int64),
             x_sum=np.zeros(n, dtype=np.int64),
             mu_sum=np.zeros(n, dtype=np.int64),
             w_req=w_req,
-            lambda_max=config.lambda_max if config.lambda_max is not None else max(1, w_req),
-            mu_max_global=(
-                config.mu_max_global if config.mu_max_global is not None else int(mu_max.max())
-            ),
-            deadline=config.deadline,
+            lambda_max=max(1, w_req),
+            mu_max_global=int(mu_max.max()),
         )
 
     @property
@@ -273,16 +267,15 @@ def _step_arrays(
     x = state.mu_max * ((q_hat > 0) & (mu == 0))
     Q_next = np.maximum(0, state.Q + x - mu)
 
-    # Phase 6: consume oldest-first, then age and expire.
+    # Phase 6: consume oldest-first; with a deadline, the oldest column
+    # expires and the rest age by one slot.
     buckets = _consume_oldest_first(state.buckets, mu)
-    if state.deadline is None:
-        if buckets[:, -1].any():  # widen before anything reaches the edge
-            buckets = np.hstack([buckets, np.zeros_like(buckets)])
+    if config.deadline is None:
         expired = np.zeros(state.n_workers, dtype=np.int64)
     else:
         expired = buckets[:, -1].copy()
-    buckets[:, 1:] = buckets[:, :-1]
-    buckets[:, 0] = 0
+        buckets[:, 1:] = buckets[:, :-1]
+        buckets[:, 0] = 0
     q_next = q_hat - mu - expired
     if int(buckets.sum()) != int(q_next.sum()):
         raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
@@ -291,9 +284,13 @@ def _step_arrays(
     lhs, rhs = drift_bound_sides(
         state.q, state.Q, lam, mu, x, state.lambda_max, state.mu_max_global, expired
     )
-    lyapunov = int((q_next * q_next).sum() + (Q_next * Q_next).sum()) / 2.0
 
-    # Phase 8: report and state handoff.
+    # Phase 8: state handoff and report.
+    state.buckets = buckets
+    state.q = q_next
+    state.Q = Q_next
+    state.x_sum += x
+    state.mu_sum += mu
     pending = q_hat > 0
     expiry_ratio_sum = float((expired[pending] / q_hat[pending]).sum())
     report = SlotReport(
@@ -305,7 +302,7 @@ def _step_arrays(
         effort_sum=float(xi.sum()),
         expiry_ratio_sum=expiry_ratio_sum,
         workers_with_pending=int(pending.sum()),
-        lyapunov=lyapunov,
+        lyapunov=compute_lyapunov(state),
         drift_lhs=lhs,
         drift_rhs=rhs,
     )
@@ -313,23 +310,7 @@ def _step_arrays(
         "lam": lam, "mu": mu, "expired": expired, "mood": m, "effort": xi,
         "x": x, "q_hat": q_hat, "q_end": q_next, "Q_end": Q_next,
     }
-    state.buckets = buckets
-    state.q = q_next
-    state.Q = Q_next
-    state.x_sum += x
-    state.mu_sum += mu
-    state.t = t + 1
     return report, per_worker
-
-
-def step(state: SimState, config: SimConfig, t: int, mood_source=None) -> SlotReport:
-    """Advance one slot through the eight phases, mutating ``state``."""
-    if t >= config.slots:
-        raise ValueError(f"slot {t} out of range for a {config.slots}-slot run")
-    if mood_source is None:
-        mood_source = CounterMoods(config.seed)
-    report, _ = _step_arrays(state, config, t, mood_source)
-    return report
 
 
 @dataclass

@@ -12,7 +12,9 @@ import csv
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01
+import numpy as np
+
+from .rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01_array
 from .workers import WorkerProfile
 
 CSV_HEADER = ["worker_id", "reputation", "mu_max"]
@@ -69,12 +71,17 @@ class PopulationSpec:
 
 def generate(spec: PopulationSpec) -> list[WorkerProfile]:
     """Deterministically generate profiles with ids 0..count-1."""
-    profiles = []
-    for i in range(spec.count):
-        rep = spec.reputation_dist.sample(uniform01(spec.seed, i, REPUTATION_STREAM))
-        cap = spec.mu_max_dist.sample_int(uniform01(spec.seed, i, MU_MAX_STREAM))
-        profiles.append(WorkerProfile(id=i, reputation=rep, mu_max=cap))
-    return profiles
+    ids = np.arange(spec.count, dtype=np.uint64)
+    reps = uniform01_array(spec.seed, ids, REPUTATION_STREAM)
+    caps = uniform01_array(spec.seed, ids, MU_MAX_STREAM)
+    return [
+        WorkerProfile(
+            id=i,
+            reputation=spec.reputation_dist.sample(float(reps[i])),
+            mu_max=spec.mu_max_dist.sample_int(float(caps[i])),
+        )
+        for i in range(spec.count)
+    ]
 
 
 def load_csv(path: str) -> list[WorkerProfile]:

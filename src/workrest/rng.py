@@ -23,27 +23,11 @@ REPUTATION_STREAM = 0x5245505554415449
 MU_MAX_STREAM = 0x4D41585052304455
 
 
-def mix64(seed: int, worker_id: int, counter: int) -> int:
-    """Combine (seed, worker_id, counter) into one uniform 64-bit word."""
-    z = (seed ^ (worker_id * _WORKER_KEY) ^ (counter * _SLOT_KEY)) & _MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def uniform01(seed: int, worker_id: int, counter: int) -> float:
-    """Uniform double in [0, 1) keyed by (seed, worker_id, counter)."""
-    return mix64(seed, worker_id, counter) / 2.0 ** 64
-
-
 def uniform01_array(seed: int, worker_ids: np.ndarray, counter: int) -> np.ndarray:
-    """Vectorized ``uniform01`` over an array of worker ids.
+    """Uniform doubles in [0, 1), one per worker id, keyed by (seed, id, counter).
 
-    Bit-identical to the scalar path: uint64 arithmetic wraps mod 2**64
-    exactly like the masked Python-int arithmetic above.
+    uint64 arithmetic wraps mod 2**64, so each value equals the scalar
+    splitmix64 reference computed with masked Python ints.
     """
     ids = np.asarray(worker_ids, dtype=np.uint64)
     with np.errstate(over="ignore"):

@@ -1,7 +1,8 @@
 """Scalar per-worker reference semantics: the test oracle for the engine.
 
-Each function states one part of the model for one worker at a time, as
-the paper states it: the five policy rules, the queue recurrences, the
+Each function states one part of the model for one worker at a time:
+the splitmix64 counter hash behind moods and populations, the five
+policy rules as the paper states them, the queue recurrences, the
 oldest-first cohort FIFO, largest-remainder delegation and the Lyapunov
 function. ``shadow.ShadowSim`` strings them into a whole simulation that
 the vectorized engine in ``workrest.engine`` must replay exactly. None of
@@ -20,7 +21,7 @@ from workrest.delegation import delegation_weights
 from workrest.engine import SimState
 from workrest.numerics import SNAP_RTOL
 from workrest.policies import PolicyParams
-from workrest.rng import uniform01
+from workrest.rng import _MASK64, _MIX1, _MIX2, _SLOT_KEY, _WORKER_KEY
 from workrest.workers import WorkerProfile
 
 
@@ -32,6 +33,22 @@ def snap_floor(x: float) -> int:
     if (f + 1) - x <= max(x, 1.0) * SNAP_RTOL:
         return f + 1
     return f
+
+
+def mix64(seed: int, worker_id: int, counter: int) -> int:
+    """Combine (seed, worker_id, counter) into one uniform 64-bit word."""
+    z = (seed ^ (worker_id * _WORKER_KEY) ^ (counter * _SLOT_KEY)) & _MASK64
+    z ^= z >> 30
+    z = (z * _MIX1) & _MASK64
+    z ^= z >> 27
+    z = (z * _MIX2) & _MASK64
+    z ^= z >> 31
+    return z
+
+
+def uniform01(seed: int, worker_id: int, counter: int) -> float:
+    """Uniform double in [0, 1) keyed by (seed, worker_id, counter)."""
+    return mix64(seed, worker_id, counter) / 2.0 ** 64
 
 
 def mood_sample(seed: int, worker_id: int, slot: int) -> float:

@@ -172,6 +172,37 @@ class TestSimulate:
         ) == 0
         assert a.read_text().split(",")[:8] == b.read_text().split(",")[:8]
 
+        # a flag given on the command line wins even when it equals the
+        # parser default: 10,000 slots, not the file's 5
+        config.write_text(json.dumps({
+            "policy": "me", "lf": 0.5, "slots": 5, "workers": workers_csv,
+        }))
+        per_slot = tmp_path / "slots.csv"
+        assert run_cli(
+            "simulate", "--config", str(config), "--slots", "10000",
+            "--out", str(b), "--per-slot", str(per_slot),
+        ) == 0
+        assert len(per_slot.read_text().splitlines()) == 1 + 10_000
+
+        # the file alone can supply the policy and the load factor
+        config.write_text(json.dumps({
+            "policy": "cpl", "phi": 5.0, "lf": 0.5, "slots": 30,
+            "workers": workers_csv, "seed": 9,
+        }))
+        assert run_cli("simulate", "--config", str(config), "--out", str(b)) == 0
+        assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("missing", ["policy", "lf"])
+    def test_missing_policy_or_load_factor_is_usage_error(
+        self, tmp_path, workers_csv, capsys, missing
+    ):
+        config = tmp_path / "config.json"
+        values = {"policy": "me", "lf": 0.5, "slots": 5, "workers": workers_csv}
+        del values[missing]
+        config.write_text(json.dumps(values))
+        assert run_cli("simulate", "--config", str(config)) == 2
+        assert f"simulate requires --{missing}" in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, workers_csv):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"nonsense": 1}))
@@ -239,8 +270,7 @@ class TestExperimentConfigs:
     """The committed ``results/*.json`` sweep configs reproduce the experiments."""
 
     def test_desk_config_resolves_to_the_acceptance_grid(self):
-        args = cli.build_parser().parse_args(["sweep", "--config", str(RESULTS / "desk.json")])
-        cli._apply_config_file(args)
+        args = cli.parse_args(["sweep", "--config", str(RESULTS / "desk.json")])
         assert cli._sweep_spec(args) == desk_sweep_spec()
         assert (args.gen_n, args.workers) == (500, None)
 

@@ -16,7 +16,6 @@ from workrest.engine import (
     compute_lyapunov,
     drift_bound_sides,
     run,
-    step,
 )
 from workrest.policies import PolicyParams
 from workrest.workers import WorkerProfile
@@ -193,8 +192,15 @@ class TestEngineMatchesScalarOracle:
             assert report.pending_total == slot.pending_total
             assert report.effort_sum == slot.effort_sum
             assert report.expiry_ratio_sum == slot.expiry_ratio_sum
-        # the exported per-worker FIFOs agree with the scalar states
-        assert to_worker_states(result.final_state) == ref.states
+        # the exported per-worker FIFOs agree with the scalar states; without
+        # a deadline ages are not engine state, so only the queues compare
+        if deadline is None:
+            final = result.final_state
+            assert list(zip(final.q.tolist(), final.Q.tolist())) == [
+                (s.q, s.conceptual_q) for s in ref.states
+            ]
+        else:
+            assert to_worker_states(result.final_state) == ref.states
 
 
 class TestRunInvariants:
@@ -324,16 +330,19 @@ class TestNoDeadline:
             q = np.maximum(0, q + res.trace["lam"][t] - res.trace["mu"][t])
             assert (res.trace["q_end"][t] == q).all()
 
-    def test_bucket_widening_preserves_totals(self):
-        pop = [WorkerProfile(id=0, reputation=1.0, mu_max=2)]
+    @pytest.mark.parametrize("slots", [100, 2_000])
+    def test_backlog_state_stays_one_column(self, slots):
+        # Never works, never expires: everything stays pending, and the
+        # state is the count alone however long the run, so a slot's cost
+        # does not grow with T.
+        pop = [WorkerProfile(id=i, reputation=1.0, mu_max=2) for i in range(3)]
         config = SimConfig(
-            slots=100, load_factor=1.0,
+            slots=slots, load_factor=1.0,
             policy=PolicyParams(kind="mt", theta1=1.0), seed=0, deadline=None,
         )
-        res = run(config, pop)
-        # never works, never expires: everything stays pending
+        res = run(config, pop, keep_reports=False)
+        assert res.final_state.buckets.shape == (len(pop), 1)
         assert res.pending_final == res.arrivals_total
-        assert res.final_state.buckets.shape[1] >= 100
 
 
 class TestValidation:
@@ -358,13 +367,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimConfig(slots=10, load_factor=0.5, policy=PolicyParams(kind="me"), deadline=0)
 
-    def test_step_slot_out_of_range(self):
-        pop = single_worker()
-        config = cpl_config(slots=2)
-        state = SimState.from_population(pop, config)
-        with pytest.raises(ValueError, match="out of range"):
-            step(state, config, 2)
-
     def test_overcompletion_aborts(self, monkeypatch):
         # the policy layer cannot produce mu > backlog, so fake a buggy one
         import workrest.engine as engine_mod
@@ -373,13 +375,11 @@ class TestValidation:
             return np.ones(len(q)), q + 1
 
         monkeypatch.setattr(engine_mod, "decide", buggy_decide)
-        pop = single_worker()
         config = SimConfig(
             slots=1, load_factor=0.5, policy=PolicyParams(kind="me"), seed=0
         )
-        state = SimState.from_population(pop, config)
         with pytest.raises(SimulationError, match="completed"):
-            step(state, config, 0)
+            run(config, single_worker())
 
 
 def _moods_bad_at_slot_2(value):

@@ -2,8 +2,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import mood_sample
-from workrest.rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01, uniform01_array
+from oracle import mood_sample, uniform01
+from workrest.rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01_array
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 ids = st.integers(min_value=0, max_value=2**32)
@@ -27,6 +27,14 @@ def test_vector_matches_scalar_bit_for_bit(seed, slot, id_list):
     vec = uniform01_array(seed, np.array(id_list, dtype=np.uint64), slot)
     for worker_id, v in zip(id_list, vec):
         assert v == uniform01(seed, worker_id, slot)
+
+
+@given(seeds, st.lists(ids, min_size=1, max_size=20))
+@settings(max_examples=50)
+def test_vector_matches_scalar_on_population_streams(seed, id_list):
+    for stream in (REPUTATION_STREAM, MU_MAX_STREAM):
+        vec = uniform01_array(seed, np.array(id_list, dtype=np.uint64), stream)
+        assert vec.tolist() == [uniform01(seed, i, stream) for i in id_list]
 
 
 def test_empirical_mean():

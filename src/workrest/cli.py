@@ -3,9 +3,9 @@
 Subcommands: ``gen-workers`` (synthetic worker CSV), ``simulate`` (one
 run), ``sweep`` (full policy/knob/load-factor grid) and ``report``
 (per-policy aggregates of a sweep). Exit codes: 0 success, 1 I/O
-failure, 2 usage or validation error. ``sweep`` also prints one health
-line to stderr: drift-bound violations per slot, the stability
-inequality and task conservation over every grid point.
+failure, 2 usage or validation error. ``simulate`` and ``sweep`` also
+print one health line to stderr: drift-bound violations per slot, the
+stability inequality and task conservation over every run.
 
 ``simulate`` and ``sweep`` also accept ``--config FILE`` with a JSON
 object whose keys mirror the long flag names (underscored). The file's
@@ -24,6 +24,7 @@ from .policies import KNOB_FIELDS, POLICY_KINDS, PolicyParams
 from .population import Distribution, PopulationSpec, generate, load_csv, write_csv
 from .sweep import (
     SWEEP_HEADER,
+    PointDiagnostics,
     SweepSpec,
     aggregate_report,
     parse_sweep_csv,
@@ -143,6 +144,17 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _print_health(diagnostics: list[PointDiagnostics]) -> None:
+    """The stderr health line of ``simulate`` and ``sweep``, over every run."""
+    print(
+        f"drift-bound violations: {sum(d.drift_violations for d in diagnostics)}/"
+        f"{sum(d.slots for d in diagnostics)} slots; "
+        f"stability: {all(d.stability_ok for d in diagnostics)}; "
+        f"task conservation: {all(d.conserves_tasks for d in diagnostics)}",
+        file=sys.stderr,
+    )
+
+
 def cmd_gen_workers(args: argparse.Namespace) -> int:
     spec = PopulationSpec(
         count=args.n,
@@ -190,6 +202,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_text(args.out, ",".join(SWEEP_HEADER) + "\n" + row + "\n")
     if args.per_slot is not None:
         _write_text(args.per_slot, per_slot_csv(result.reports))
+    _print_health([PointDiagnostics.of(result, config.slots)])
     return 0
 
 
@@ -220,14 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     population = _resolve_population(args)
     rows, diagnostics = run_sweep(spec, population, jobs=args.jobs, collect_diagnostics=True)
     _write_text(args.out, sweep_rows_to_csv(rows))
-    violations = sum(d.drift_violations for d in diagnostics)
-    slots = sum(d.slots for d in diagnostics)
-    print(
-        f"drift-bound violations: {violations}/{slots} slots; "
-        f"stability: {all(d.stability_ok for d in diagnostics)}; "
-        f"task conservation: {all(d.conserves_tasks for d in diagnostics)}",
-        file=sys.stderr,
-    )
+    _print_health(diagnostics)
     return 0
 
 

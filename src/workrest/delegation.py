@@ -52,17 +52,23 @@ def apportion(w_req: int, weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     shares = w_req * weights / total
     base = np.floor(shares).astype(np.int64)
     remainders = shares - base
-    # Award order: remainder desc, weight desc, id asc. Workers with zero
-    # weight never receive units while any positive weight exists.
-    order = np.lexsort((ids, -weights, -remainders))
-    order = order[weights[order] > 0.0]
     # Every remainder is < 1, so the leftover fits in one award per worker.
     leftover = w_req - int(base.sum())
-    if not 0 <= leftover <= len(order):
-        raise ArithmeticError(
-            f"largest-remainder leftover {leftover} outside [0, {len(order)}]"
-        )
-    base[order[:leftover]] += 1
+    positive = int(np.count_nonzero(weights > 0.0))
+    if not 0 <= leftover <= positive:
+        raise ArithmeticError(f"largest-remainder leftover {leftover} outside [0, {positive}]")
+    if leftover == 0:
+        return base
+    # Award order: remainder desc, weight desc, id asc. Select the
+    # leftover-th largest remainder in O(n), award every remainder above
+    # it, and order only the workers tied at it. Zero weights have
+    # remainder 0 and sort after every positive weight, so they never
+    # receive units while any positive weight exists.
+    cut = np.partition(remainders, n - leftover)[n - leftover]
+    above = remainders > cut
+    base += above
+    tied = np.flatnonzero(remainders == cut)
+    base[tied[np.lexsort((ids[tied], -weights[tied]))][: leftover - above.sum()]] += 1
     return base
 
 

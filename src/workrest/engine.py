@@ -96,9 +96,11 @@ class SimState:
 
     ``buckets[:, a]`` holds each worker's tasks of age ``a``, one column
     per age below the deadline; without a deadline it is one column, the
-    whole backlog. ``q`` is the carried backlog (before the current slot's
-    arrivals) and always equals the bucket row sums. ``lambda_max`` and
-    ``mu_max_global`` are the drift diagnostics' uniform bounds: the
+    whole backlog. It is stored age-major (Fortran order), so each age is
+    one contiguous column that a slot drains with one vector operation.
+    ``q`` is the carried backlog (before the current slot's arrivals) and
+    always equals the bucket row sums. ``lambda_max`` and ``mu_max_global``
+    are the drift diagnostics' uniform bounds: the
     per-slot workload (one worker could receive everything) and the
     largest capacity.
     """
@@ -134,7 +136,7 @@ class SimState:
             ids=ids,
             reputation=np.array([p.reputation for p in population]),
             mu_max=mu_max,
-            buckets=np.zeros((n, config.deadline or 1), dtype=np.int64),
+            buckets=np.zeros((n, config.deadline or 1), dtype=np.int64, order="F"),
             q=np.zeros(n, dtype=np.int64),
             Q=np.zeros(n, dtype=np.int64),
             x_sum=np.zeros(n, dtype=np.int64),
@@ -223,13 +225,13 @@ def drift_bound_sides(
     return lhs2 / 2.0, rhs2 / 2.0
 
 
-def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Remove ``mu`` tasks per worker, draining the oldest ages first."""
-    rev = buckets[:, ::-1]
-    csum = np.cumsum(rev, axis=1)
-    rem = np.maximum(csum - mu[:, None], 0)
-    new_rev = np.diff(rem, axis=1, prepend=0)
-    return new_rev[:, ::-1].copy()
+def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> None:
+    """Remove ``mu`` tasks per worker in place, draining the oldest ages first."""
+    left = mu.copy()
+    for a in range(buckets.shape[1] - 1, -1, -1):
+        take = np.minimum(buckets[:, a], left)
+        buckets[:, a] -= take
+        left -= take
 
 
 def _step_arrays(
@@ -269,15 +271,15 @@ def _step_arrays(
 
     # Phase 6: consume oldest-first; with a deadline, the oldest column
     # expires and the rest age by one slot.
-    buckets = _consume_oldest_first(state.buckets, mu)
+    _consume_oldest_first(state.buckets, mu)
     if config.deadline is None:
         expired = np.zeros(state.n_workers, dtype=np.int64)
     else:
-        expired = buckets[:, -1].copy()
-        buckets[:, 1:] = buckets[:, :-1]
-        buckets[:, 0] = 0
+        expired = state.buckets[:, -1].copy()
+        state.buckets[:, 1:] = state.buckets[:, :-1]
+        state.buckets[:, 0] = 0
     q_next = q_hat - mu - expired
-    if int(buckets.sum()) != int(q_next.sum()):
+    if int(state.buckets.sum()) != int(q_next.sum()):
         raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
 
     # Phase 7: diagnostics against the pre-slot queues.
@@ -286,7 +288,6 @@ def _step_arrays(
     )
 
     # Phase 8: state handoff and report.
-    state.buckets = buckets
     state.q = q_next
     state.Q = Q_next
     state.x_sum += x

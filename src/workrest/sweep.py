@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import RunMetrics, SimConfig, run
+from .engine import RunMetrics, RunResult, SimConfig, run
 from .policies import KNOB_FIELDS, POLICY_KINDS, PolicyParams
 from .workers import WorkerProfile
 
@@ -119,6 +119,16 @@ class PointDiagnostics:
     stability_ok: bool
     conserves_tasks: bool
 
+    @classmethod
+    def of(cls, result: RunResult, slots: int) -> "PointDiagnostics":
+        """The health counters of one finished ``slots``-slot run."""
+        return cls(
+            slots=slots,
+            drift_violations=result.drift_violations,
+            stability_ok=bool((result.stability_margins() >= 0).all()),
+            conserves_tasks=result.conserves_tasks(),
+        )
+
 
 def _run_point(args) -> tuple[RunMetrics, PointDiagnostics]:
     population, params, lf, slots, seed, deadline = args
@@ -132,13 +142,7 @@ def _run_point(args) -> tuple[RunMetrics, PointDiagnostics]:
             f"sweep point (policy={params.kind}, {params.knob_name}="
             f"{params.knob_value}, lf={lf}) failed: {exc}"
         ) from exc
-    diag = PointDiagnostics(
-        slots=slots,
-        drift_violations=result.drift_violations,
-        stability_ok=bool((result.stability_margins() >= 0).all()),
-        conserves_tasks=result.conserves_tasks(),
-    )
-    return result.metrics, diag
+    return result.metrics, PointDiagnostics.of(result, slots)
 
 
 def _pct(value: float, baseline: float) -> float | None:
@@ -177,8 +181,7 @@ def run_sweep(
             me_metrics[lf] = metrics
 
     rows = []
-    diagnostics = []
-    for (params, lf), (metrics, diag) in zip(points, outcomes):
+    for (params, lf), (metrics, _) in zip(points, outcomes):
         base = me_metrics[lf]
         rows.append(
             SweepRow(
@@ -193,9 +196,8 @@ def run_sweep(
                 completion_pct_of_me=_pct(metrics.completion_avg, base.completion_avg),
             )
         )
-        diagnostics.append(diag)
     if collect_diagnostics:
-        return rows, diagnostics
+        return rows, [diag for _, diag in outcomes]
     return rows
 
 

@@ -124,6 +124,16 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_health_line_on_stderr_leaves_stdout_unchanged(self, tmp_path, capsys, workers_csv):
+        argv = ["simulate", "--policy", "cpl", "--phi", "5", "--lf", "0.5",
+                "--slots", "40", "--workers", workers_csv, "--seed", "7"]
+        out = tmp_path / "summary.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        health = "drift-bound violations: 0/40 slots; stability: True; task conservation: True\n"
+        assert capsys.readouterr() == ("", health)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr() == (out.read_text(), health)
+
     def test_per_slot_schema(self, tmp_path, workers_csv):
         per_slot = tmp_path / "slots.csv"
         run_cli(

@@ -193,3 +193,48 @@ class TestApportion:
         assert out.dtype == np.int64
         assert out.tolist() == oracle.apportion(w_req, weights, ids).tolist()
         assert int(out.sum()) == w_req
+
+    def test_platform_scale_all_equal_weights_award_ascending_ids(self):
+        # Every remainder ties at the cut, so the tie group is the whole
+        # population of 5,547 and the smallest ids take the leftover.
+        n = 5547
+        ids = np.random.default_rng(0).permutation(3 * n)[:n].astype(np.int64)
+        weights = np.full(n, 0.7)
+        out = apportion(2 * n + 1234, weights, ids)
+        assert out.tolist() == oracle.apportion(2 * n + 1234, weights, ids).tolist()
+        assert set(ids[out == 3].tolist()) == set(np.sort(ids)[:1234].tolist())
+        assert set(out.tolist()) == {2, 3}
+
+    # At w_req near 2**54 the float shares lose whole units: with three unit
+    # weights every remainder is 0 while 2 or 3 units are left over.
+    def test_zero_weights_tied_at_a_zero_cut_receive_nothing(self):
+        weights = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+        ids = np.array([0, 4, 1, 3, 2])
+        w_req = 2**54 + 1
+        out = apportion(w_req, weights, ids)
+        base = w_req // 3  # each float share rounds down to this integer
+        assert out.tolist() == [0, base, 0, base + 1, base + 1]
+        assert out.tolist() == oracle.apportion(w_req, weights, ids).tolist()
+        assert int(out.sum()) == w_req
+
+    @pytest.mark.parametrize(
+        "w_req, weights",
+        [(2**54 + 2, [1.0, 0.0, 1.0, 1.0, 0.0]), (3, [0.0, 0.7, 0.0])],
+    )
+    def test_leftover_equal_to_positive_count_awards_every_positive_weight(
+        self, w_req, weights
+    ):
+        weights = np.array(weights)
+        ids = np.arange(len(weights))
+        shares = np.floor(w_req * weights / weights.sum()).astype(np.int64)
+        out = apportion(w_req, weights, ids)
+        assert (out - shares).tolist() == (weights > 0).astype(int).tolist()
+        assert out.tolist() == oracle.apportion(w_req, weights, ids).tolist()
+        assert int(out.sum()) == w_req
+
+    @pytest.mark.parametrize("w_req, positive", [(2**54 + 2, 1), (2**54, 5)])
+    def test_leftover_outside_positive_count_is_an_arithmetic_error(self, w_req, positive):
+        # leftover 2 with one positive weight; leftover -1 with five
+        weights = np.array([1.0] * positive + [0.0])
+        with pytest.raises(ArithmeticError, match="leftover"):
+            apportion(w_req, weights, np.arange(len(weights)))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from oracle import WorkerState, mood_sample, to_worker_states
+from oracle import TaskCohort, WorkerState, mood_sample, to_worker_states
 from shadow import ShadowSim
 from workrest.engine import (
     ConstantMoods,
@@ -13,6 +13,7 @@ from workrest.engine import (
     SimConfig,
     SimState,
     SimulationError,
+    _consume_oldest_first,
     compute_lyapunov,
     drift_bound_sides,
     run,
@@ -312,6 +313,33 @@ class TestRunInvariants:
         a = run(SimConfig(seed=1, **base), pop)
         b = run(SimConfig(seed=2, **base), pop)
         assert a.metrics != b.metrics
+
+
+class TestConsumeOldestFirst:
+    """Phase 6's in-place drain against the oracle's cohort FIFO, row by row."""
+
+    @given(st.data(), st.integers(min_value=1, max_value=12), st.sampled_from([1, 3]))
+    @settings(max_examples=200)
+    def test_drains_in_place_like_the_cohort_fifo(self, data, n, width):
+        cells = st.lists(st.integers(0, 9), min_size=width, max_size=width)
+        buckets = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), order="F")
+        totals = buckets.sum(axis=1)
+        mu = np.array([data.draw(st.integers(0, int(t))) for t in totals])
+        full = data.draw(st.integers(0, n - 1))
+        mu[full] = totals[full]  # at least one row drains entirely
+        mu_before = mu.copy()
+        expected = np.zeros_like(buckets)
+        for i, row in enumerate(buckets):
+            fifo = [TaskCohort(int(row[a]), a) for a in range(width - 1, -1, -1) if row[a]]
+            state = WorkerState(backlog=fifo, q=int(row.sum()))
+            oracle.complete_and_age(state, int(mu[i]), None)
+            for cohort in state.backlog:  # aged by one slot; the drain itself does not age
+                expected[i, cohort.age - 1] = cohort.count
+
+        _consume_oldest_first(buckets, mu)
+        assert buckets.flags.f_contiguous
+        assert buckets.tolist() == expected.tolist()
+        assert mu.tolist() == mu_before.tolist()
 
 
 class TestNoDeadline:

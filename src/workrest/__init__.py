@@ -11,7 +11,6 @@ from .engine import (
     SimState,
     SimulationError,
     SlotReport,
-    compute_lyapunov,
     drift_bound_sides,
     run,
 )

@@ -40,9 +40,12 @@ class UsageError(ValueError):
 
 
 def _parse_deadline(text: str) -> int | None:
-    if str(text).lower() in ("inf", "none"):
+    if text.lower() in ("inf", "none"):
         return None
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected whole slots or 'inf', got {text!r}") from None
 
 
 def _parse_grid(value) -> tuple[float, ...]:
@@ -86,7 +89,12 @@ def _parse_dist(text: str) -> Distribution:
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:
-    """The ``--config`` file's values, keyed by flag destination."""
+    """The ``--config`` file's values, keyed by flag destination.
+
+    Scalars become strings, so that argparse passes them through the
+    flag's own ``type=`` converter as it does any string default; lists
+    (grids, policies) are kept as they are.
+    """
     with open(args.config, encoding="utf-8") as fh:
         file_values = json.load(fh)
     if not isinstance(file_values, dict):
@@ -96,7 +104,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         attr = key.replace("-", "_")
         if attr not in vars(args) or attr in ("command", "func", "config"):
             raise UsageError(f"{args.config}: unknown config key {key!r}")
-        defaults[attr] = value
+        defaults[attr] = value if value is None or isinstance(value, list) else str(value)
     return defaults
 
 
@@ -170,7 +178,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for name in ("policy", "lf"):
         if getattr(args, name) is None:
             raise UsageError(f"simulate requires --{name} (or {name!r} in --config)")
-    args.deadline = _parse_deadline(args.deadline) if isinstance(args.deadline, str) else args.deadline
     policy = _build_policy(args)
     population = _resolve_population(args)
     config = SimConfig(
@@ -207,7 +214,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    args.deadline = _parse_deadline(args.deadline) if isinstance(args.deadline, str) else args.deadline
     if isinstance(args.policies, (list, tuple)):
         policies = tuple(str(p).lower() for p in args.policies)
     else:
@@ -271,7 +277,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sim.add_argument("--lf", type=float, help="load factor in (0,1] (required)")
     sim.add_argument("--slots", type=int, default=10_000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--deadline", default=3,
+    sim.add_argument("--deadline", type=_parse_deadline, default=3,
                      help="task deadline in slots, or 'inf' (default: 3)")
     sim.add_argument("--workers", help="worker CSV path")
     sim.add_argument("--gen-n", type=int, help="synthetic population size")
@@ -289,7 +295,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     swp.add_argument("--lf-grid", default="0.05:1.0:0.05")
     swp.add_argument("--slots", type=int, default=10_000)
     swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--deadline", default=3)
+    swp.add_argument("--deadline", type=_parse_deadline, default=3)
     swp.add_argument("--workers")
     swp.add_argument("--gen-n", type=int)
     swp.add_argument("--jobs", type=int, default=1, help="parallel sweep processes")

@@ -9,8 +9,9 @@ Each slot runs a fixed phase order over the whole population:
 5. conceptual-queue update from this slot's backlog and completions
 6. consume completed tasks oldest-first; with a deadline, expire the
    oldest cohort and age the rest
-7. Lyapunov / drift-bound diagnostics
-8. emit the slot report
+7. drift-bound diagnostics on the queues phases 5-6 computed; twice the
+   Lyapunov value is carried as a running Python int
+8. state handoff and the slot report
 
 State is held in flat arrays (one row per worker) so a slot is a handful
 of vector operations. A task's age matters only through its deadline, so
@@ -36,7 +37,7 @@ from .workers import WorkerProfile
 __all__ = [
     "SimulationError", "SimConfig", "SlotReport", "RunMetrics", "SimState",
     "CounterMoods", "ConstantMoods", "MatrixMoods",
-    "compute_lyapunov", "drift_bound_sides", "run", "RunResult",
+    "drift_bound_sides", "run", "RunResult",
 ]
 
 
@@ -102,7 +103,8 @@ class SimState:
     always equals the bucket row sums. ``lambda_max`` and ``mu_max_global``
     are the drift diagnostics' uniform bounds: the
     per-slot workload (one worker could receive everything) and the
-    largest capacity.
+    largest capacity. ``lyap2`` is twice the Lyapunov value of ``q`` and
+    ``Q``, a Python int so that it never wraps.
     """
 
     ids: np.ndarray
@@ -116,6 +118,7 @@ class SimState:
     w_req: int
     lambda_max: int
     mu_max_global: int
+    lyap2: int = 0
 
     @classmethod
     def from_population(
@@ -131,11 +134,20 @@ class SimState:
         if omega <= 0.0:
             raise ValueError("population has zero collective capacity")
         w_req = slot_workload(config.load_factor, omega)
-        mu_max = np.array([p.mu_max for p in population], dtype=np.int64)
+        g = max(p.mu_max for p in population)
+        # Float shares hold w_req exactly up to 2**53. A backlog total of at most
+        # min(D, T) * w_req and each Q <= T * g bound every int64 sum of phase 7.
+        if w_req > 2**53:
+            raise ValueError(f"slot workload {w_req} exceeds 2**53, the bound for exact float shares")
+        backlog_cap = min(config.deadline or config.slots, config.slots) * w_req
+        largest = max(backlog_cap * (backlog_cap + g), n * (config.slots * g) ** 2)
+        if largest >= 2**63:
+            raise ValueError(f"int64 drift sums may reach {largest}, beyond 2**63 (backlog <= "
+                             f"{backlog_cap}, conceptual queue <= {config.slots * g})")
         return cls(
             ids=ids,
             reputation=np.array([p.reputation for p in population]),
-            mu_max=mu_max,
+            mu_max=np.array([p.mu_max for p in population], dtype=np.int64),
             buckets=np.zeros((n, config.deadline or 1), dtype=np.int64, order="F"),
             q=np.zeros(n, dtype=np.int64),
             Q=np.zeros(n, dtype=np.int64),
@@ -143,7 +155,7 @@ class SimState:
             mu_sum=np.zeros(n, dtype=np.int64),
             w_req=w_req,
             lambda_max=max(1, w_req),
-            mu_max_global=int(mu_max.max()),
+            mu_max_global=g,
         )
 
     @property
@@ -183,46 +195,32 @@ class MatrixMoods:
         return self.values[slot]
 
 
-def compute_lyapunov(state: SimState) -> float:
-    """Work-concentration measure: half the sum of squared queue lengths."""
-    return int((state.q * state.q).sum() + (state.Q * state.Q).sum()) / 2.0
-
-
 def drift_bound_sides(
     q: np.ndarray,
     Q: np.ndarray,
     lam: np.ndarray,
     mu: np.ndarray,
     x: np.ndarray,
+    q_next: np.ndarray,
+    Q_next: np.ndarray,
+    lyap2: int,
     lambda_max: int,
     mu_max_global: int,
-    expired: np.ndarray | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float, int]:
     """Exact one-slot Lyapunov change vs. its constant-padded upper bound.
 
-    ``q``/``Q`` are the carried queues entering the slot, ``lam``/``mu`` the
-    slot's arrivals and completions, ``x`` the conceptual-queue increments
-    as fired (mu_max if the worker rested with pending tasks, else 0) and
-    ``expired`` the tasks dropped at the deadline. Both sides are computed
-    in integer arithmetic (doubled internally) so the comparison is exact.
+    ``q``/``Q`` are the carried queues and ``lyap2`` twice their Lyapunov
+    value, ``lam``/``mu`` the slot's arrivals and completions, ``x`` the
+    conceptual-queue increments as fired and ``q_next``/``Q_next`` the
+    outgoing queues, all int64. Both sides are summed as integers (doubled)
+    so the comparison is exact. Returns ``(lhs, rhs, next_lyap2)``.
     """
-    q = np.asarray(q, dtype=np.int64)
-    Q = np.asarray(Q, dtype=np.int64)
-    lam = np.asarray(lam, dtype=np.int64)
-    mu = np.asarray(mu, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    e = np.zeros_like(q) if expired is None else np.asarray(expired, dtype=np.int64)
-
-    q_next = np.maximum(0, np.maximum(0, q + lam - mu) - e)
-    Q_next = np.maximum(0, Q + x - mu)
-    lhs2 = int((q_next * q_next - q * q).sum() + (Q_next * Q_next - Q * Q).sum())
-
-    ind = (x > 0).astype(np.int64)
-    const2 = lambda_max * lambda_max + mu_max_global * mu_max_global
-    real2 = 2 * q * (lam - mu) - 2 * mu * lam + const2
-    virt2 = 2 * Q * (mu_max_global * ind - mu) + mu_max_global * mu_max_global * (ind + 1)
-    rhs2 = int(real2.sum() + virt2.sum())
-    return lhs2 / 2.0, rhs2 / 2.0
+    fired = x > 0
+    g2 = mu_max_global * mu_max_global
+    cross = int(q @ (lam - mu)) - int(mu @ lam) + int(Q @ (mu_max_global * fired - mu))
+    rhs2 = 2 * cross + len(q) * (lambda_max * lambda_max + 2 * g2) + g2 * int(fired.sum())
+    next2 = int(q_next @ q_next) + int(Q_next @ Q_next)
+    return (next2 - lyap2) / 2.0, rhs2 / 2.0, next2
 
 
 def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> None:
@@ -282,9 +280,10 @@ def _step_arrays(
     if int(state.buckets.sum()) != int(q_next.sum()):
         raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
 
-    # Phase 7: diagnostics against the pre-slot queues.
-    lhs, rhs = drift_bound_sides(
-        state.q, state.Q, lam, mu, x, state.lambda_max, state.mu_max_global, expired
+    # Phase 7: drift from the carried queues to the slot's outgoing ones.
+    lhs, rhs, state.lyap2 = drift_bound_sides(
+        state.q, state.Q, lam, mu, x, q_next, Q_next,
+        state.lyap2, state.lambda_max, state.mu_max_global,
     )
 
     # Phase 8: state handoff and report.
@@ -303,7 +302,7 @@ def _step_arrays(
         effort_sum=float(xi.sum()),
         expiry_ratio_sum=expiry_ratio_sum,
         workers_with_pending=int(pending.sum()),
-        lyapunov=compute_lyapunov(state),
+        lyapunov=state.lyap2 / 2.0,
         drift_lhs=lhs,
         drift_rhs=rhs,
     )

@@ -138,7 +138,9 @@ def _run_point(args) -> tuple[RunMetrics, PointDiagnostics]:
         )
         result = run(config, population, keep_reports=False)
     except Exception as exc:
-        raise RuntimeError(
+        # A validation error stays a ValueError (a usage error to the CLI).
+        kind = ValueError if isinstance(exc, ValueError) else RuntimeError
+        raise kind(
             f"sweep point (policy={params.kind}, {params.knob_name}="
             f"{params.knob_value}, lf={lf}) failed: {exc}"
         ) from exc

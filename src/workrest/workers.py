@@ -1,9 +1,9 @@
 """Worker identity: reputation and per-slot capacity.
 
-A worker's queues (the real backlog, kept per task age so that deadline
-expiry can be applied, and the virtual "conceptual" queue that grows
-whenever the worker rests while tasks are pending) live as population-wide
-arrays in ``engine.SimState``.
+A worker's queues (the real backlog, kept per task age only when there
+is a deadline to expire tasks at, and the virtual "conceptual" queue that
+grows whenever the worker rests while tasks are pending) live as
+population-wide arrays in ``engine.SimState``.
 """
 
 from __future__ import annotations

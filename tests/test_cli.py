@@ -14,7 +14,18 @@ RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def run_cli(*argv):
-    return main(list(argv))
+    """The exit code of ``workrest argv``, including argparse's own exits."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def write_workers(path, rows):
+    """A worker CSV with one ``(reputation, mu_max)`` row per worker."""
+    lines = [f"{i},{rep},{mu_max}\n" for i, (rep, mu_max) in enumerate(rows)]
+    path.write_text("worker_id,reputation,mu_max\n" + "".join(lines))
+    return str(path)
 
 
 @pytest.fixture()
@@ -213,14 +224,38 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(config)) == 2
         assert f"simulate requires --{missing}" in capsys.readouterr().err
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path, workers_csv):
+    @pytest.mark.parametrize("command,values,named", [
+        ("simulate", {"nonsense": 1}, "unknown config key 'nonsense'"),
+        ("simulate", {"deadline": 3.5}, "argument --deadline"),
+        ("simulate", {"slots": 5.5}, "argument --slots"),
+        ("simulate", {"seed": 1.5}, "argument --seed"),
+        ("sweep", {"jobs": 1.5}, "argument --jobs"),
+    ], ids=["unknown-key", "deadline-float", "slots-float", "seed-float", "jobs-float"])
+    def test_unknown_config_key_is_usage_error(
+        self, tmp_path, workers_csv, capsys, command, values, named
+    ):
+        # a value of the wrong JSON type fails the flag's own converter
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"nonsense": 1}))
-        code = run_cli(
-            "simulate", "--config", str(config), "--policy", "me", "--lf", "0.5",
-            "--workers", workers_csv,
-        )
+        config.write_text(json.dumps({"slots": 3, **values}))
+        flags = ["--policy", "me", "--lf", "0.5"] if command == "simulate" else [
+            "--policies", "me", "--lf-grid", "0.5"]
+        code = run_cli(command, "--config", str(config), *flags, "--workers", workers_csv)
         assert code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows,flags,bound", [
+        ([(1.0, 10**17), (1.0, 7 * 10**16)], ["me", "--lf", "0.9", "--slots", "5"], "2**53"),
+        ([(1.0, 2**63 - 1)], ["me", "--lf", "0.5", "--slots", "5"], "2**53"),
+        ([(1.0, 2 * 10**9)], ["ac", "--sigma", "1e30", "--lf", "1.0", "--deadline", "inf",
+                              "--slots", "6"], "2**63"),
+    ], ids=["capacities-1e17", "mu-max-2**63-1", "int64-wrap"])
+    def test_inputs_beyond_the_exact_range_are_usage_errors(
+        self, tmp_path, capsys, rows, flags, bound
+    ):
+        workers = write_workers(tmp_path / "workers.csv", rows)
+        assert run_cli("simulate", "--policy", *flags, "--workers", workers) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bound in err
 
 
 class TestSweepAndReport:
@@ -260,6 +295,16 @@ class TestSweepAndReport:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 1 + 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_point_validation_error_is_usage_error(self, tmp_path, capsys, jobs):
+        workers = write_workers(tmp_path / "workers.csv", [(0.0, 5), (0.0, 3)])
+        assert run_cli(
+            "sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "5",
+            "--workers", workers, "--jobs", jobs,
+        ) == 2
+        err = capsys.readouterr().err
+        assert "sweep point (policy=me" in err and "zero collective capacity" in err
 
     def test_unknown_policy_is_usage_error(self, workers_csv):
         assert run_cli(

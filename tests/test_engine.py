@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,8 @@ from workrest.engine import (
     CounterMoods,
     MatrixMoods,
     SimConfig,
-    SimState,
     SimulationError,
     _consume_oldest_first,
-    compute_lyapunov,
     drift_bound_sides,
     run,
 )
@@ -86,28 +86,34 @@ class TestLyapunov:
         states = [WorkerState(q=1), WorkerState(q=1)]
         assert oracle.compute_lyapunov(states) == 1.0
 
-    def test_simstate_matches_worker_states(self):
-        pop = [WorkerProfile(id=i, reputation=1.0, mu_max=3) for i in range(4)]
-        state = SimState.from_population(pop, cpl_config(slots=5, lf=1.0))
-        state.q = np.array([1, 2, 3, 4])
-        state.Q = np.array([0, 1, 0, 2])
-        assert compute_lyapunov(state) == oracle.compute_lyapunov(to_worker_states(state))
+
+
+def paper_drift_sides(q, Q, lam, mu, x, expired, lambda_max, mu_max_global):
+    """``drift_bound_sides`` with the outgoing queues built from the paper's
+    recurrences and the carried Lyapunov value from the carried queues."""
+    q_next = np.maximum(0, np.maximum(0, q + lam - mu) - expired)
+    Q_next = np.maximum(0, Q + x - mu)
+    lyap2 = int(q @ q) + int(Q @ Q)
+    return drift_bound_sides(
+        q, Q, lam, mu, x, q_next, Q_next, lyap2, lambda_max, mu_max_global
+    )
 
 
 class TestDriftBound:
     def test_all_zero_state(self):
         n = 3
         z = np.zeros(n, dtype=np.int64)
-        lhs, rhs = drift_bound_sides(z, z, z, z, z, lambda_max=2, mu_max_global=4)
-        assert lhs == 0.0
+        lhs, rhs, lyap2 = paper_drift_sides(z, z, z, z, z, z, lambda_max=2, mu_max_global=4)
+        assert (lhs, lyap2) == (0.0, 0)
         assert rhs == n * 0.5 * (4 + 16) + n * 0.5 * 16
 
     def test_hand_trace_slot0(self):
-        lhs, rhs = drift_bound_sides(
-            q=np.array([0]), Q=np.array([0]), lam=np.array([2]), mu=np.array([0]),
-            x=np.array([4]), lambda_max=2, mu_max_global=4,
+        zero = np.array([0])
+        lhs, rhs, lyap2 = paper_drift_sides(
+            q=zero, Q=zero, lam=np.array([2]), mu=zero, x=np.array([4]), expired=zero,
+            lambda_max=2, mu_max_global=4,
         )
-        assert (lhs, rhs) == (10.0, 26.0)
+        assert (lhs, rhs, lyap2) == (10.0, 26.0, 20)
 
     def test_randomized_inequality_100k_slots(self):
         rng = np.random.default_rng(2024)
@@ -125,7 +131,7 @@ class TestDriftBound:
             x = mu_max_i * ind
             headroom = np.maximum(0, q + lam - mu)
             expired = rng.integers(0, 1000, n) % (headroom + 1)
-            lhs, rhs = drift_bound_sides(q, Q, lam, mu, x, lam_max, mu_max_g, expired)
+            lhs, rhs, _ = paper_drift_sides(q, Q, lam, mu, x, expired, lam_max, mu_max_g)
             assert lhs <= rhs
             checked += n
         assert checked >= 100_000
@@ -176,9 +182,14 @@ class TestEngineMatchesScalarOracle:
             population=population, policy=params, load_factor=lf,
             seed=seed, deadline=deadline,
         )
+        prev_lyapunov = 0.0
         for t in range(slots):
             slot = ref.step(t)
             report = result.reports[t]
+            lyapunov = oracle.compute_lyapunov(ref.states)
+            assert report.lyapunov == lyapunov
+            assert report.drift_lhs == lyapunov - prev_lyapunov
+            prev_lyapunov = lyapunov
             assert result.trace["lam"][t].tolist() == slot.lam
             assert result.trace["mood"][t].tolist() == slot.mood
             assert result.trace["effort"][t].tolist() == slot.effort
@@ -195,13 +206,15 @@ class TestEngineMatchesScalarOracle:
             assert report.expiry_ratio_sum == slot.expiry_ratio_sum
         # the exported per-worker FIFOs agree with the scalar states; without
         # a deadline ages are not engine state, so only the queues compare
+        final_workers = to_worker_states(result.final_state)
+        assert oracle.compute_lyapunov(final_workers) == result.reports[-1].lyapunov
         if deadline is None:
             final = result.final_state
             assert list(zip(final.q.tolist(), final.Q.tolist())) == [
                 (s.q, s.conceptual_q) for s in ref.states
             ]
         else:
-            assert to_worker_states(result.final_state) == ref.states
+            assert final_workers == ref.states
 
 
 class TestRunInvariants:
@@ -229,18 +242,6 @@ class TestRunInvariants:
         assert 0.0 <= m.effort_avg <= 1.0
         assert 0.0 <= m.expiry_avg <= 1.0
         assert 0.0 <= m.completion_avg <= 1.0
-
-    def test_lyapunov_deltas_equal_drift_lhs(self):
-        pop = [WorkerProfile(id=i, reputation=0.9, mu_max=3) for i in range(5)]
-        config = SimConfig(
-            slots=100, load_factor=0.8, policy=PolicyParams(kind="cpl", phi=10.0), seed=4
-        )
-        res = run(config, pop)
-        prev = 0.0
-        for report in res.reports:
-            assert report.lyapunov - prev == report.drift_lhs
-            assert report.lyapunov >= 0.0
-            prev = report.lyapunov
 
     def test_me_with_top_mood_and_light_load_never_expires(self):
         # 4 equal workers, capacity 5 each, 8 tasks/slot: every slot clears.
@@ -394,6 +395,43 @@ class TestValidation:
             SimConfig(slots=10, load_factor=1.5, policy=PolicyParams(kind="me"))
         with pytest.raises(ValueError):
             SimConfig(slots=10, load_factor=0.5, policy=PolicyParams(kind="me"), deadline=0)
+
+    # One worker that always rests with its backlog piling up: after T slots
+    # q = Q = T * g, and the backlog bound T * w_req * (T * w_req + g) with
+    # w_req = g reads T * (T + 1) * g**2. At T = 6 it stays below 2**63 up
+    # to this g.
+    G_INSIDE = math.isqrt((2**63 - 1) // 42)
+
+    def _piling_up(self, mu_max):
+        config = SimConfig(
+            slots=6, load_factor=1.0, policy=PolicyParams(kind="ac", sigma=1e30),
+            deadline=None,
+        )
+        return config, [WorkerProfile(id=0, reputation=1.0, mu_max=mu_max)]
+
+    def test_inputs_just_inside_the_int64_bound_stay_exact(self):
+        config, pop = self._piling_up(self.G_INSIDE)
+        res = run(config, pop, record_worker_trace=True)
+        g = self.G_INSIDE
+        q = Q = lyap2 = 0
+        for t, report in enumerate(res.reports):
+            lam, mu, x = (int(res.trace[k][t][0]) for k in ("lam", "mu", "x"))
+            q_next, Q_next = int(res.trace["q_end"][t][0]), int(res.trace["Q_end"][t][0])
+            assert (q_next, Q_next) == ((t + 1) * g, (t + 1) * g)
+            next2 = q_next * q_next + Q_next * Q_next
+            lambda_max = g  # the slot workload, round(1.0 * g)
+            rhs2 = (2 * q * (lam - mu) - 2 * mu * lam + lambda_max * lambda_max + g * g
+                    + 2 * Q * (g * (x > 0) - mu) + g * g * ((x > 0) + 1))
+            assert (report.lyapunov, report.drift_lhs, report.drift_rhs) == (
+                next2 / 2.0, (next2 - lyap2) / 2.0, rhs2 / 2.0
+            )
+            q, Q, lyap2 = q_next, Q_next, next2
+        assert res.drift_violations == 0
+
+    def test_inputs_just_beyond_the_int64_bound_are_rejected(self):
+        config, pop = self._piling_up(self.G_INSIDE + 1)
+        with pytest.raises(ValueError, match=r"int64 drift sums may reach \d+, beyond 2\*\*63"):
+            run(config, pop)
 
     def test_overcompletion_aborts(self, monkeypatch):
         # the policy layer cannot produce mu > backlog, so fake a buggy one

@@ -3,14 +3,15 @@
 Subcommands: ``gen-workers`` (synthetic worker CSV), ``simulate`` (one
 run), ``sweep`` (full policy/knob/load-factor grid) and ``report``
 (per-policy aggregates of a sweep). Exit codes: 0 success, 1 I/O
-failure, 2 usage or validation error. ``simulate`` and ``sweep`` also
-print one health line to stderr: drift-bound violations per slot, the
-stability inequality and task conservation over every run.
+failure, 2 usage or validation error, 3 a failed invariant. ``simulate``
+and ``sweep`` also print one health line to stderr: drift-bound
+violations per slot, the stability inequality and task conservation over
+every run; any failure there exits 3 too.
 
 ``simulate`` and ``sweep`` also accept ``--config FILE`` with a JSON
 object whose keys mirror the long flag names (underscored). The file's
 values become the subcommand's defaults, so any flag given on the command
-line wins over them.
+line wins over them. A list is read as a comma list.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import argparse
 import json
 import sys
 
-from .engine import SimConfig, run
-from .policies import KNOB_FIELDS, POLICY_KINDS, PolicyParams
+from .engine import SimConfig, SimulationError, run
+from .policies import KNOB_FIELDS, PolicyParams
 from .population import Distribution, PopulationSpec, generate, load_csv, write_csv
 from .sweep import (
-    SWEEP_HEADER,
     PointDiagnostics,
+    SweepRow,
     SweepSpec,
     aggregate_report,
     parse_sweep_csv,
@@ -33,6 +34,10 @@ from .sweep import (
     run_sweep,
     sweep_rows_to_csv,
 )
+
+
+# The SweepSpec grids that ``sweep`` takes as flags (``--phi-grid`` ...).
+_GRIDS = ("phi_grid", "sigma_grid", "theta1_grid", "theta2_grid", "lf_grid")
 
 
 class UsageError(ValueError):
@@ -48,12 +53,10 @@ def _parse_deadline(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected whole slots or 'inf', got {text!r}") from None
 
 
-def _parse_grid(value) -> tuple[float, ...]:
+def _parse_grid(text: str) -> tuple[float, ...]:
     """Grid syntax: comma list ('5,25,50') and/or ranges ('5:100:5')."""
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
     values: list[float] = []
-    for part in str(value).split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
@@ -71,7 +74,7 @@ def _parse_grid(value) -> tuple[float, ...]:
         else:
             values.append(float(part))
     if not values:
-        raise UsageError(f"empty grid {value!r}")
+        raise UsageError(f"empty grid {text!r}")
     return tuple(values)
 
 
@@ -91,9 +94,9 @@ def _parse_dist(text: str) -> Distribution:
 def _config_defaults(args: argparse.Namespace) -> dict:
     """The ``--config`` file's values, keyed by flag destination.
 
-    Scalars become strings, so that argparse passes them through the
-    flag's own ``type=`` converter as it does any string default; lists
-    (grids, policies) are kept as they are.
+    Every value becomes a string, a list a comma list, so that argparse
+    passes it through the flag's own ``type=`` converter as it does any
+    string default.
     """
     with open(args.config, encoding="utf-8") as fh:
         file_values = json.load(fh)
@@ -104,7 +107,9 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         attr = key.replace("-", "_")
         if attr not in vars(args) or attr in ("command", "func", "config"):
             raise UsageError(f"{args.config}: unknown config key {key!r}")
-        defaults[attr] = value if value is None or isinstance(value, list) else str(value)
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        defaults[attr] = value if value is None else str(value)
     return defaults
 
 
@@ -129,19 +134,17 @@ def _resolve_population(args: argparse.Namespace):
 
 
 def _build_policy(args: argparse.Namespace) -> PolicyParams:
-    kind = str(args.policy).lower()
-    if kind not in POLICY_KINDS:
-        raise UsageError(f"unknown policy {args.policy!r}")
-    knobs = {name: getattr(args, name) for name in KNOB_FIELDS.values() if name}
-    wanted = KNOB_FIELDS[kind]
-    for name, value in knobs.items():
-        if value is not None and name != wanted:
-            raise UsageError(f"--{name} is not a knob of policy {kind!r}")
-    if wanted is not None and knobs[wanted] is None:
-        raise UsageError(f"policy {kind!r} requires --{wanted}")
-    if wanted is None:
-        return PolicyParams(kind=kind)
-    return PolicyParams(kind=kind, **{wanted: knobs[wanted]})
+    knobs = {
+        name: getattr(args, name)
+        for name in KNOB_FIELDS.values()
+        if name and getattr(args, name) is not None
+    }
+    # PolicyParams checks the kind and its knob, and ignores other knobs.
+    policy = PolicyParams(kind=args.policy.lower(), **knobs)
+    for name in knobs:
+        if name != policy.knob_name:
+            raise UsageError(f"--{name} is not a knob of policy {policy.kind!r}")
+    return policy
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -152,15 +155,18 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _print_health(diagnostics: list[PointDiagnostics]) -> None:
-    """The stderr health line of ``simulate`` and ``sweep``, over every run."""
+def _print_health(diagnostics: list[PointDiagnostics]) -> int:
+    """Print the stderr health line of ``simulate`` and ``sweep``, over every
+    run; returns the exit code, 3 if it reports any failure and 0 otherwise."""
+    violations = sum(d.drift_violations for d in diagnostics)
+    stable = all(d.stability_ok for d in diagnostics)
+    conserves = all(d.conserves_tasks for d in diagnostics)
     print(
-        f"drift-bound violations: {sum(d.drift_violations for d in diagnostics)}/"
-        f"{sum(d.slots for d in diagnostics)} slots; "
-        f"stability: {all(d.stability_ok for d in diagnostics)}; "
-        f"task conservation: {all(d.conserves_tasks for d in diagnostics)}",
+        f"drift-bound violations: {violations}/{sum(d.slots for d in diagnostics)} slots; "
+        f"stability: {stable}; task conservation: {conserves}",
         file=sys.stderr,
     )
+    return 0 if violations == 0 and stable and conserves else 3
 
 
 def cmd_gen_workers(args: argparse.Namespace) -> int:
@@ -188,50 +194,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         deadline=args.deadline,
     )
     result = run(config, population, keep_reports=args.per_slot is not None)
-    m = result.metrics
-    # Single-run summary reuses the sweep schema; the ME-relative columns
-    # are only defined against a baseline run, so they are NA except for
-    # ME itself (its own baseline by definition).
-    pct = "100.000000" if policy.kind == "me" else "NA"
-    row = ",".join(
-        [
-            policy.kind,
-            policy.knob_name,
-            f"{policy.knob_value:.6f}",
-            f"{args.lf:.6f}",
-            f"{m.effort_avg:.6f}",
-            f"{m.expiry_avg:.6f}",
-            f"{m.completion_avg:.6f}",
-            pct,
-            pct,
-        ]
-    )
-    _write_text(args.out, ",".join(SWEEP_HEADER) + "\n" + row + "\n")
+    # The ME-relative columns need a baseline run: ME is its own, every
+    # other policy has none here.
+    base = result.metrics if policy.kind == "me" else None
+    row = SweepRow.of(policy, args.lf, result.metrics, base)
+    _write_text(args.out, sweep_rows_to_csv([row]))
     if args.per_slot is not None:
         _write_text(args.per_slot, per_slot_csv(result.reports))
-    _print_health([PointDiagnostics.of(result, config.slots)])
-    return 0
+    return _print_health([PointDiagnostics.of(result, config.slots)])
 
 
 def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    if isinstance(args.policies, (list, tuple)):
-        policies = tuple(str(p).lower() for p in args.policies)
-    else:
-        policies = tuple(p.strip().lower() for p in args.policies.split(",") if p.strip())
-    for p in policies:
-        if p not in POLICY_KINDS:
-            raise UsageError(f"unknown policy {p!r} in --policies")
-    return SweepSpec(
-        policies=policies,
-        phi_grid=_parse_grid(args.phi_grid),
-        sigma_grid=_parse_grid(args.sigma_grid),
-        theta1_grid=_parse_grid(args.theta1_grid),
-        theta2_grid=_parse_grid(args.theta2_grid),
-        lf_grid=_parse_grid(args.lf_grid),
-        slots=args.slots,
-        seed=args.seed,
-        deadline=args.deadline,
-    )
+    """The grid of the flags that were given; ``SweepSpec`` fills in the rest."""
+    grids = {
+        name: _parse_grid(getattr(args, name)) for name in _GRIDS if getattr(args, name) is not None
+    }
+    if args.policies is not None:
+        grids["policies"] = tuple(
+            p.strip().lower() for p in args.policies.split(",") if p.strip()
+        )
+    return SweepSpec(**grids, slots=args.slots, seed=args.seed, deadline=args.deadline)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -239,8 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     population = _resolve_population(args)
     rows, diagnostics = run_sweep(spec, population, jobs=args.jobs, collect_diagnostics=True)
     _write_text(args.out, sweep_rows_to_csv(rows))
-    _print_health(diagnostics)
-    return 0
+    return _print_health(diagnostics)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -287,12 +268,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sim.set_defaults(func=cmd_simulate)
 
     swp = sub.add_parser("sweep", help="run a (policy x knob x load factor) grid")
-    swp.add_argument("--policies", default=",".join(POLICY_KINDS))
-    swp.add_argument("--phi-grid", default="5:100:5")
-    swp.add_argument("--sigma-grid", default="5:100:5")
-    swp.add_argument("--theta1-grid", default="0.05:1.0:0.05")
-    swp.add_argument("--theta2-grid", default="0.05:1.0:0.05")
-    swp.add_argument("--lf-grid", default="0.05:1.0:0.05")
+    swp.add_argument("--policies", help="comma list (default: all five)")
+    for name in _GRIDS:
+        swp.add_argument("--" + name.replace("_", "-"),
+                         help="comma list and/or start:stop:step ranges")
     swp.add_argument("--slots", type=int, default=10_000)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--deadline", type=_parse_deadline, default=3)
@@ -318,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

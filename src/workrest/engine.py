@@ -206,21 +206,22 @@ def drift_bound_sides(
     lyap2: int,
     lambda_max: int,
     mu_max_global: int,
-) -> tuple[float, float, int]:
+) -> tuple[int, int, int]:
     """Exact one-slot Lyapunov change vs. its constant-padded upper bound.
 
     ``q``/``Q`` are the carried queues and ``lyap2`` twice their Lyapunov
     value, ``lam``/``mu`` the slot's arrivals and completions, ``x`` the
     conceptual-queue increments as fired and ``q_next``/``Q_next`` the
-    outgoing queues, all int64. Both sides are summed as integers (doubled)
-    so the comparison is exact. Returns ``(lhs, rhs, next_lyap2)``.
+    outgoing queues, all int64. Returns ``(lhs2, rhs2, next_lyap2)``: both
+    sides doubled and the outgoing ``2L``, as Python ints, so comparing
+    them is exact at any size.
     """
     fired = x > 0
     g2 = mu_max_global * mu_max_global
     cross = int(q @ (lam - mu)) - int(mu @ lam) + int(Q @ (mu_max_global * fired - mu))
     rhs2 = 2 * cross + len(q) * (lambda_max * lambda_max + 2 * g2) + g2 * int(fired.sum())
     next2 = int(q_next @ q_next) + int(Q_next @ Q_next)
-    return (next2 - lyap2) / 2.0, rhs2 / 2.0, next2
+    return next2 - lyap2, rhs2, next2
 
 
 def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> None:
@@ -234,8 +235,9 @@ def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> None:
 
 def _step_arrays(
     state: SimState, config: SimConfig, t: int, mood_source
-) -> tuple[SlotReport, dict[str, np.ndarray]]:
-    """One slot over the state arrays; returns the report and per-worker data."""
+) -> tuple[SlotReport, dict[str, np.ndarray], bool]:
+    """One slot over the state arrays; returns the report, the per-worker
+    data and whether the slot broke the drift bound (compared exactly)."""
     # Phase 1: delegation. Weights use the carried backlog, new cohorts
     # enter at age 0.
     weights = delegation_weights(state.reputation, state.mu_max, state.q)
@@ -281,7 +283,7 @@ def _step_arrays(
         raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
 
     # Phase 7: drift from the carried queues to the slot's outgoing ones.
-    lhs, rhs, state.lyap2 = drift_bound_sides(
+    lhs2, rhs2, state.lyap2 = drift_bound_sides(
         state.q, state.Q, lam, mu, x, q_next, Q_next,
         state.lyap2, state.lambda_max, state.mu_max_global,
     )
@@ -303,14 +305,14 @@ def _step_arrays(
         expiry_ratio_sum=expiry_ratio_sum,
         workers_with_pending=int(pending.sum()),
         lyapunov=state.lyap2 / 2.0,
-        drift_lhs=lhs,
-        drift_rhs=rhs,
+        drift_lhs=lhs2 / 2.0,
+        drift_rhs=rhs2 / 2.0,
     )
     per_worker = {
         "lam": lam, "mu": mu, "expired": expired, "mood": m, "effort": xi,
         "x": x, "q_hat": q_hat, "q_end": q_next, "Q_end": Q_next,
     }
-    return report, per_worker
+    return report, per_worker, lhs2 > rhs2
 
 
 @dataclass
@@ -374,7 +376,7 @@ def run(
         trace = {}
 
     for t in range(config.slots):
-        report, per_worker = _step_arrays(state, config, t, mood_source)
+        report, per_worker, drift_violated = _step_arrays(state, config, t, mood_source)
         effort_total += report.effort_sum
         expiry_ratio_total += report.expiry_ratio_sum
         if report.pending_total > 0:
@@ -383,8 +385,7 @@ def run(
         arrivals_total += report.arrivals
         completions_total += report.completions
         expired_total += report.expired
-        if report.drift_lhs > report.drift_rhs:
-            drift_violations += 1
+        drift_violations += drift_violated
         if keep_reports:
             reports.append(report)
         if trace is not None:

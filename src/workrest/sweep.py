@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .engine import RunMetrics, RunResult, SimConfig, run
+from .engine import RunMetrics, RunResult, SimConfig, SimulationError, run
 from .policies import KNOB_FIELDS, POLICY_KINDS, PolicyParams
 from .workers import WorkerProfile
 
@@ -34,18 +34,8 @@ PER_SLOT_HEADER = [
 ]
 
 _NA = "NA"
-
-
-def default_phi_grid() -> tuple[float, ...]:
-    return tuple(float(v) for v in range(5, 101, 5))
-
-
-def default_theta_grid() -> tuple[float, ...]:
-    return tuple(round(0.05 * k, 2) for k in range(1, 21))
-
-
-def default_lf_grid() -> tuple[float, ...]:
-    return tuple(round(0.05 * k, 2) for k in range(1, 21))
+_INDEX_GRID = tuple(float(v) for v in range(5, 101, 5))
+_UNIT_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
 
 @dataclass(frozen=True)
@@ -53,11 +43,11 @@ class SweepSpec:
     """The full experiment grid plus run-length, seed and deadline."""
 
     policies: tuple[str, ...] = POLICY_KINDS
-    phi_grid: tuple[float, ...] = field(default_factory=default_phi_grid)
-    sigma_grid: tuple[float, ...] = field(default_factory=default_phi_grid)
-    theta1_grid: tuple[float, ...] = field(default_factory=default_theta_grid)
-    theta2_grid: tuple[float, ...] = field(default_factory=default_theta_grid)
-    lf_grid: tuple[float, ...] = field(default_factory=default_lf_grid)
+    phi_grid: tuple[float, ...] = _INDEX_GRID
+    sigma_grid: tuple[float, ...] = _INDEX_GRID
+    theta1_grid: tuple[float, ...] = _UNIT_GRID
+    theta2_grid: tuple[float, ...] = _UNIT_GRID
+    lf_grid: tuple[float, ...] = _UNIT_GRID
     slots: int = 10_000
     seed: int = 0
     deadline: int | None = 3
@@ -71,15 +61,16 @@ class SweepSpec:
                 raise ValueError(f"policy {kind!r} selected but its knob grid is empty")
         if not self.lf_grid:
             raise ValueError("lf_grid must be non-empty")
+        # Every grid value, selected or not, must make a valid point: the
+        # ranges are PolicyParams' and SimConfig's own checks.
+        for kind, knob in KNOB_FIELDS.items():
+            if knob is not None:
+                for value in getattr(self, f"{knob}_grid"):
+                    PolicyParams(kind=kind, **{knob: value})
+        me = PolicyParams(kind="me")
         for lf in self.lf_grid:
-            if not 0.0 < lf <= 1.0:
-                raise ValueError(f"load factors must be in (0, 1], got {lf}")
-        for theta in (*self.theta1_grid, *self.theta2_grid):
-            if not 0.0 <= theta <= 1.0:
-                raise ValueError(f"thresholds must be in [0, 1], got {theta}")
-        for knob in (*self.phi_grid, *self.sigma_grid):
-            if knob <= 0.0:
-                raise ValueError(f"index-policy knobs must be positive, got {knob}")
+            SimConfig(slots=self.slots, load_factor=lf, policy=me, seed=self.seed,
+                      deadline=self.deadline)
 
     def grid_points(self) -> list[tuple[PolicyParams, float]]:
         """Deterministic run order: ME rows first, then each policy's grid."""
@@ -108,6 +99,25 @@ class SweepRow:
     completion_avg: float
     effort_pct_of_me: float | None
     completion_pct_of_me: float | None
+
+    @classmethod
+    def of(
+        cls, params: PolicyParams, lf: float, metrics: RunMetrics, base: RunMetrics | None
+    ) -> "SweepRow":
+        """The row of one run against its ``me`` baseline ``base`` (none: NA)."""
+        return cls(
+            policy=params.kind,
+            knob_name=params.knob_name,
+            knob_value=params.knob_value,
+            load_factor=lf,
+            effort_avg=metrics.effort_avg,
+            expiry_avg=metrics.expiry_avg,
+            completion_avg=metrics.completion_avg,
+            effort_pct_of_me=None if base is None else _pct(metrics.effort_avg, base.effort_avg),
+            completion_pct_of_me=(
+                None if base is None else _pct(metrics.completion_avg, base.completion_avg)
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -138,8 +148,9 @@ def _run_point(args) -> tuple[RunMetrics, PointDiagnostics]:
         )
         result = run(config, population, keep_reports=False)
     except Exception as exc:
-        # A validation error stays a ValueError (a usage error to the CLI).
-        kind = ValueError if isinstance(exc, ValueError) else RuntimeError
+        # A validation error stays a ValueError and a failed invariant a
+        # SimulationError, so the CLI gives each its own exit code.
+        kind = next((k for k in (ValueError, SimulationError) if isinstance(exc, k)), RuntimeError)
         raise kind(
             f"sweep point (policy={params.kind}, {params.knob_name}="
             f"{params.knob_value}, lf={lf}) failed: {exc}"
@@ -182,22 +193,10 @@ def run_sweep(
         if params.kind == "me":
             me_metrics[lf] = metrics
 
-    rows = []
-    for (params, lf), (metrics, _) in zip(points, outcomes):
-        base = me_metrics[lf]
-        rows.append(
-            SweepRow(
-                policy=params.kind,
-                knob_name=params.knob_name,
-                knob_value=params.knob_value,
-                load_factor=lf,
-                effort_avg=metrics.effort_avg,
-                expiry_avg=metrics.expiry_avg,
-                completion_avg=metrics.completion_avg,
-                effort_pct_of_me=_pct(metrics.effort_avg, base.effort_avg),
-                completion_pct_of_me=_pct(metrics.completion_avg, base.completion_avg),
-            )
-        )
+    rows = [
+        SweepRow.of(params, lf, metrics, me_metrics[lf])
+        for (params, lf), (metrics, _) in zip(points, outcomes)
+    ]
     if collect_diagnostics:
         return rows, [diag for _, diag in outcomes]
     return rows

@@ -2,13 +2,14 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import desk_sweep_spec
-from workrest import cli
+from workrest import cli, engine
 from workrest.cli import main
 from workrest.population import Distribution, PopulationSpec, generate, load_csv
-from workrest.sweep import run_sweep, sweep_rows_to_csv
+from workrest.sweep import SweepSpec, run_sweep, sweep_rows_to_csv
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -112,6 +113,17 @@ class TestSimulate:
             "--workers", workers_csv,
         )
         assert code == 2
+
+    def test_zero_workload_me_summary_is_the_sweep_me_row(self, tmp_path):
+        # omega = 1 at lf 0.05 rounds to zero tasks per slot: no baseline
+        workers = write_workers(tmp_path / "workers.csv", [(1.0, 1)])
+        summary, sweep = tmp_path / "summary.csv", tmp_path / "sweep.csv"
+        common = ["--lf", "0.05", "--slots", "20", "--workers", workers]
+        assert run_cli("simulate", "--policy", "me", *common, "--out", str(summary)) == 0
+        assert run_cli("sweep", "--policies", "me", "--lf-grid", "0.05", "--slots", "20",
+                       "--workers", workers, "--out", str(sweep)) == 0
+        assert summary.read_text() == sweep.read_text()
+        assert summary.read_text().splitlines()[1].endswith("NA,NA")
 
     def test_missing_population_is_usage_error(self):
         assert run_cli("simulate", "--policy", "me", "--lf", "0.5") == 2
@@ -230,7 +242,9 @@ class TestSimulate:
         ("simulate", {"slots": 5.5}, "argument --slots"),
         ("simulate", {"seed": 1.5}, "argument --seed"),
         ("sweep", {"jobs": 1.5}, "argument --jobs"),
-    ], ids=["unknown-key", "deadline-float", "slots-float", "seed-float", "jobs-float"])
+        ("simulate", {"slots": [5, 6]}, "argument --slots"),
+    ], ids=["unknown-key", "deadline-float", "slots-float", "seed-float", "jobs-float",
+            "slots-list"])
     def test_unknown_config_key_is_usage_error(
         self, tmp_path, workers_csv, capsys, command, values, named
     ):
@@ -306,6 +320,12 @@ class TestSweepAndReport:
         err = capsys.readouterr().err
         assert "sweep point (policy=me" in err and "zero collective capacity" in err
 
+    def test_out_of_range_slots_rejected_before_any_point(self, workers_csv, capsys):
+        assert run_cli("sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "0",
+                       "--workers", workers_csv) == 2
+        err = capsys.readouterr().err
+        assert "slots must be >= 1" in err and "sweep point" not in err
+
     def test_unknown_policy_is_usage_error(self, workers_csv):
         assert run_cli(
             "sweep", "--policies", "me,bogus", "--workers", workers_csv,
@@ -323,6 +343,10 @@ class TestSweepAndReport:
 
 class TestExperimentConfigs:
     """The committed ``results/*.json`` sweep configs reproduce the experiments."""
+
+    def test_no_grid_flags_resolve_to_the_default_grid(self):
+        args = cli.parse_args(["sweep", "--slots", "40", "--seed", "3", "--deadline", "inf"])
+        assert cli._sweep_spec(args) == SweepSpec(slots=40, seed=3, deadline=None)
 
     def test_desk_config_resolves_to_the_acceptance_grid(self):
         args = cli.parse_args(["sweep", "--config", str(RESULTS / "desk.json")])
@@ -349,4 +373,42 @@ class TestExperimentConfigs:
         assert out.read_bytes() == sweep_rows_to_csv(rows).encode()
         assert capsys.readouterr().err == (
             "drift-bound violations: 0/450 slots; stability: True; task conservation: True\n"
+        )
+
+
+def overcompleting_decide(params, q, Q, m, mu_max, floor):
+    """A policy bug: every worker completes one task more than it holds."""
+    return np.ones(len(q)), q + 1
+
+
+def drift_broken(q, Q, lam, mu, x, q_next, Q_next, lyap2, lambda_max, mu_max_global):
+    """Drift sides that break the bound by one (doubled) unit every slot."""
+    return 1, 0, lyap2
+
+
+class TestFailedInvariants:
+    """A failed invariant exits 3: an aborted run, or a health-line failure.
+    The sweep's process pool forks, so the patches reach its workers."""
+
+    COMMANDS = [
+        ["simulate", "--policy", "me", "--lf", "0.5"],
+        ["sweep", "--policies", "me", "--lf-grid", "0.5", "--jobs", "1"],
+        ["sweep", "--policies", "me", "--lf-grid", "0.5", "--jobs", "2"],
+    ]
+    IDS = ["simulate", "sweep-jobs-1", "sweep-jobs-2"]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_simulation_error_exits_3(self, monkeypatch, capsys, workers_csv, argv):
+        monkeypatch.setattr(engine, "decide", overcompleting_decide)
+        assert run_cli(*argv, "--slots", "5", "--workers", workers_csv) == 3
+        err = capsys.readouterr().err
+        named = "error: slot 0:" if argv[0] == "simulate" else "error: sweep point (policy=me"
+        assert err.startswith(named) and "completed" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_health_line_failure_exits_3(self, monkeypatch, capsys, workers_csv, argv):
+        monkeypatch.setattr(engine, "drift_bound_sides", drift_broken)
+        assert run_cli(*argv, "--slots", "5", "--workers", workers_csv) == 3
+        assert capsys.readouterr().err == (
+            "drift-bound violations: 5/5 slots; stability: True; task conservation: True\n"
         )

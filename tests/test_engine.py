@@ -103,17 +103,17 @@ class TestDriftBound:
     def test_all_zero_state(self):
         n = 3
         z = np.zeros(n, dtype=np.int64)
-        lhs, rhs, lyap2 = paper_drift_sides(z, z, z, z, z, z, lambda_max=2, mu_max_global=4)
-        assert (lhs, lyap2) == (0.0, 0)
-        assert rhs == n * 0.5 * (4 + 16) + n * 0.5 * 16
+        lhs2, rhs2, lyap2 = paper_drift_sides(z, z, z, z, z, z, lambda_max=2, mu_max_global=4)
+        assert (lhs2, lyap2) == (0, 0)
+        assert rhs2 == n * (4 + 16) + n * 16
 
     def test_hand_trace_slot0(self):
         zero = np.array([0])
-        lhs, rhs, lyap2 = paper_drift_sides(
+        lhs2, rhs2, lyap2 = paper_drift_sides(
             q=zero, Q=zero, lam=np.array([2]), mu=zero, x=np.array([4]), expired=zero,
             lambda_max=2, mu_max_global=4,
         )
-        assert (lhs, rhs, lyap2) == (10.0, 26.0, 20)
+        assert (lhs2, rhs2, lyap2) == (20, 52, 20)
 
     def test_randomized_inequality_100k_slots(self):
         rng = np.random.default_rng(2024)
@@ -131,10 +131,23 @@ class TestDriftBound:
             x = mu_max_i * ind
             headroom = np.maximum(0, q + lam - mu)
             expired = rng.integers(0, 1000, n) % (headroom + 1)
-            lhs, rhs, _ = paper_drift_sides(q, Q, lam, mu, x, expired, lam_max, mu_max_g)
-            assert lhs <= rhs
+            lhs2, rhs2, _ = paper_drift_sides(q, Q, lam, mu, x, expired, lam_max, mu_max_g)
+            assert lhs2 <= rhs2
             checked += n
         assert checked >= 100_000
+
+    def test_violations_are_counted_on_the_exact_sides(self, monkeypatch):
+        # Halved to floats, 2**59 + 1 and 2**59 round to the same value.
+        import workrest.engine as engine_mod
+
+        def stub(q, Q, lam, mu, x, q_next, Q_next, lyap2, lambda_max, mu_max_global):
+            return 2**60 + 2, 2**60, lyap2
+
+        monkeypatch.setattr(engine_mod, "drift_bound_sides", stub)
+        res = run(SimConfig(slots=5, load_factor=0.5, policy=PolicyParams(kind="me")),
+                  single_worker())
+        assert all(r.drift_lhs == r.drift_rhs == 2.0**59 for r in res.reports)
+        assert res.drift_violations == 5
 
 
 policy_params_strategy = st.one_of(

@@ -73,6 +73,10 @@ class TestGrid:
             SweepSpec(theta1_grid=(1.5,))
         with pytest.raises(ValueError):
             SweepSpec(phi_grid=(0.0,))
+        with pytest.raises(ValueError, match="slots must be >= 1"):
+            SweepSpec(slots=0)
+        with pytest.raises(ValueError, match="deadline must be >= 1"):
+            SweepSpec(deadline=0)
 
     def test_zero_workload_points_emit_na_percentages(self):
         # omega=1 at lf=0.05 rounds to zero tasks per slot: the ME baseline

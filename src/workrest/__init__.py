@@ -2,9 +2,7 @@
 
 from .delegation import apportion, collective_capacity, slot_workload
 from .engine import (
-    ConstantMoods,
     CounterMoods,
-    MatrixMoods,
     RunMetrics,
     RunResult,
     SimConfig,

@@ -245,7 +245,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     gen.add_argument("--rep-dist", default="uniform:0.5,1.0",
                      help="reputation distribution: const:V or uniform:LO,HI")
     gen.add_argument("--mu-max-dist", default="uniform:1,10",
-                     help="capacity distribution: const:V or uniform:LO,HI (integers)")
+                     help="capacity distribution: const:V or uniform:LO,HI "
+                          "(whole numbers in [1, 2**53])")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_workers)
 

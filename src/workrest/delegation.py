@@ -28,7 +28,7 @@ def collective_capacity(population: Sequence[WorkerProfile]) -> float:
 def slot_workload(load_factor: float, omega: float) -> int:
     """Tasks delegated per slot: round-half-up(load_factor * omega)."""
     if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+        raise ValueError(f"zero collective capacity: omega must be positive, got {omega}")
     return int(math.floor(load_factor * omega + 0.5))
 
 

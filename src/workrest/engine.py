@@ -36,8 +36,7 @@ from .workers import WorkerProfile
 
 __all__ = [
     "SimulationError", "SimConfig", "SlotReport", "RunMetrics", "SimState",
-    "CounterMoods", "ConstantMoods", "MatrixMoods",
-    "drift_bound_sides", "run", "RunResult",
+    "CounterMoods", "drift_bound_sides", "run", "RunResult",
 ]
 
 
@@ -125,15 +124,10 @@ class SimState:
         cls, population: Sequence[WorkerProfile], config: SimConfig
     ) -> "SimState":
         n = len(population)
-        if n == 0:
-            raise ValueError("population must be non-empty")
         ids = np.array([p.id for p in population], dtype=np.int64)
         if len(set(ids.tolist())) != n:
             raise ValueError("worker ids must be unique")
-        omega = collective_capacity(population)
-        if omega <= 0.0:
-            raise ValueError("population has zero collective capacity")
-        w_req = slot_workload(config.load_factor, omega)
+        w_req = slot_workload(config.load_factor, collective_capacity(population))
         g = max(p.mu_max for p in population)
         # Float shares hold w_req exactly up to 2**53. A backlog total of at most
         # min(D, T) * w_req and each Q <= T * g bound every int64 sum of phase 7.
@@ -170,29 +164,7 @@ class CounterMoods:
         self.seed = seed
 
     def __call__(self, slot: int, ids: np.ndarray) -> np.ndarray:
-        return uniform01_array(self.seed, ids.astype(np.uint64), slot)
-
-
-class ConstantMoods:
-    """Every worker has the same fixed mood every slot (for hand traces)."""
-
-    def __init__(self, value: float):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"mood must be in [0, 1], got {value}")
-        self.value = value
-
-    def __call__(self, slot: int, ids: np.ndarray) -> np.ndarray:
-        return np.full(len(ids), self.value)
-
-
-class MatrixMoods:
-    """Scripted moods: row per slot, column per worker (for tests)."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=float)
-
-    def __call__(self, slot: int, ids: np.ndarray) -> np.ndarray:
-        return self.values[slot]
+        return uniform01_array(self.seed, ids, slot)
 
 
 def drift_bound_sides(
@@ -351,6 +323,11 @@ def run(
     record_worker_trace: bool = False,
 ) -> RunResult:
     """Simulate ``config.slots`` slots from empty queues.
+
+    ``mood_source`` is any callable ``(slot, ids) -> moods`` giving one mood
+    in [0, 1] per worker, in ``ids`` order; each slot's moods are checked
+    for shape and range (a ``ValueError`` naming the slot). The default is
+    ``CounterMoods(config.seed)``.
 
     Metrics: effort and expiry rates average over all (slot, worker)
     pairs, with empty-backlog workers contributing zero expiry; the

@@ -55,9 +55,9 @@ class PolicyParams:
         value = None if knob is None else getattr(self, knob)
         if knob in ("theta1", "theta2"):
             if value is None or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{self.kind} requires {knob} in [0, 1]")
-        elif knob is not None and (value is None or value <= 0):
-            raise ValueError(f"{self.kind} requires {knob} > 0")
+                raise ValueError(f"{self.kind} requires {knob} in [0, 1], got {value}")
+        elif knob is not None and (value is None or not value > 0):
+            raise ValueError(f"{self.kind} requires {knob} > 0, got {value}")
 
     @property
     def knob_name(self) -> str:

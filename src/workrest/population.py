@@ -22,38 +22,28 @@ CSV_HEADER = ["worker_id", "reputation", "mu_max"]
 
 @dataclass(frozen=True)
 class Distribution:
-    """Either ``constant(value)`` or ``uniform(lo, hi)``."""
+    """Uniform on ``[lo, hi]``; ``constant(value)`` is the range ``[value, value]``."""
 
-    kind: str  # "constant" | "uniform"
     lo: float
-    hi: float = 0.0
+    hi: float
+
+    def __post_init__(self) -> None:
+        if self.hi < self.lo:
+            raise ValueError(f"uniform bounds out of order: [{self.lo}, {self.hi}]")
 
     @classmethod
     def constant(cls, value: float) -> "Distribution":
-        return cls("constant", value, value)
+        return cls(value, value)
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "Distribution":
-        if hi < lo:
-            raise ValueError(f"uniform bounds out of order: [{lo}, {hi}]")
-        return cls("uniform", lo, hi)
-
-    def sample(self, u: float) -> float:
-        if self.kind == "constant":
-            return self.lo
-        return self.lo + (self.hi - self.lo) * u
-
-    def sample_int(self, u: float) -> int:
-        """Uniform integer on [lo, hi] inclusive (constant returns lo)."""
-        if self.kind == "constant":
-            return int(self.lo)
-        lo, hi = int(self.lo), int(self.hi)
-        return min(hi, lo + int(u * (hi - lo + 1)))
+        return cls(lo, hi)
 
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Synthetic-population recipe: size, distributions and a seed."""
+    """Synthetic-population recipe: size, distributions and a seed. Capacities
+    are uniform integers on ``[lo, hi]``, whole numbers in [1, 2**53]."""
 
     count: int
     reputation_dist: Distribution = Distribution.uniform(0.5, 1.0)
@@ -65,22 +55,24 @@ class PopulationSpec:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not (0.0 <= self.reputation_dist.lo and self.reputation_dist.hi <= 1.0):
             raise ValueError("reputation distribution support must be within [0, 1]")
-        if self.mu_max_dist.lo < 1:
-            raise ValueError("mu_max distribution support must be >= 1")
+        lo, hi = self.mu_max_dist.lo, self.mu_max_dist.hi
+        if not all(1 <= b <= 2**53 and b % 1 == 0 for b in (lo, hi)):
+            raise ValueError(
+                f"mu_max distribution bounds must be whole numbers in [1, 2**53], got [{lo}, {hi}]"
+            )
 
 
 def generate(spec: PopulationSpec) -> list[WorkerProfile]:
     """Deterministically generate profiles with ids 0..count-1."""
     ids = np.arange(spec.count, dtype=np.uint64)
-    reps = uniform01_array(spec.seed, ids, REPUTATION_STREAM)
-    caps = uniform01_array(spec.seed, ids, MU_MAX_STREAM)
+    u = uniform01_array(spec.seed, ids, REPUTATION_STREAM)
+    v = uniform01_array(spec.seed, ids, MU_MAX_STREAM)
+    rep, lo, hi = spec.reputation_dist, int(spec.mu_max_dist.lo), int(spec.mu_max_dist.hi)
+    reps = rep.lo + (rep.hi - rep.lo) * u
+    caps = np.minimum(hi, lo + (v * (hi - lo + 1)).astype(np.int64))
     return [
-        WorkerProfile(
-            id=i,
-            reputation=spec.reputation_dist.sample(float(reps[i])),
-            mu_max=spec.mu_max_dist.sample_int(float(caps[i])),
-        )
-        for i in range(spec.count)
+        WorkerProfile(id=i, reputation=r, mu_max=c)
+        for i, (r, c) in enumerate(zip(reps.tolist(), caps.tolist()))
     ]
 
 

@@ -26,5 +26,5 @@ class WorkerProfile:
             raise ValueError(
                 f"reputation must be in [0, 1], got {self.reputation}"
             )
-        if self.mu_max < 1:
-            raise ValueError(f"mu_max must be >= 1, got {self.mu_max}")
+        if not (self.mu_max >= 1 and self.mu_max % 1 == 0):
+            raise ValueError(f"mu_max must be a whole number >= 1, got {self.mu_max}")

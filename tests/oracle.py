@@ -1,10 +1,10 @@
 """Scalar per-worker reference semantics: the test oracle for the engine.
 
 Each function states one part of the model for one worker at a time:
-the splitmix64 counter hash behind moods and populations, the five
-policy rules as the paper states them, the queue recurrences, the
-oldest-first cohort FIFO, largest-remainder delegation and the Lyapunov
-function. ``shadow.ShadowSim`` strings them into a whole simulation that
+the splitmix64 counter hash behind moods and populations, the synthetic
+population draw, the five policy rules as the paper states them, the
+queue recurrences, the oldest-first cohort FIFO, largest-remainder
+delegation and the Lyapunov function. ``shadow.ShadowSim`` strings them into a whole simulation that
 the vectorized engine in ``workrest.engine`` must replay exactly. None of
 this is used by the simulator itself.
 """
@@ -21,7 +21,10 @@ from workrest.delegation import delegation_weights
 from workrest.engine import SimState
 from workrest.numerics import SNAP_RTOL
 from workrest.policies import PolicyParams
-from workrest.rng import _MASK64, _MIX1, _MIX2, _SLOT_KEY, _WORKER_KEY
+from workrest.population import PopulationSpec
+from workrest.rng import (
+    _MASK64, _MIX1, _MIX2, _SLOT_KEY, _WORKER_KEY, MU_MAX_STREAM, REPUTATION_STREAM,
+)
 from workrest.workers import WorkerProfile
 
 
@@ -54,6 +57,23 @@ def uniform01(seed: int, worker_id: int, counter: int) -> float:
 def mood_sample(seed: int, worker_id: int, slot: int) -> float:
     """Deterministic per-(worker, slot) mood, uniform on [0, 1)."""
     return uniform01(seed, worker_id, slot)
+
+
+def generate(spec: PopulationSpec) -> list[WorkerProfile]:
+    """The synthetic population one worker at a time: reputation uniform on
+    its range, capacity a uniform integer on ``[lo, hi]`` inclusive."""
+    rep = spec.reputation_dist
+    lo, hi = int(spec.mu_max_dist.lo), int(spec.mu_max_dist.hi)
+    profiles = []
+    for i in range(spec.count):
+        u = uniform01(spec.seed, i, REPUTATION_STREAM)
+        v = uniform01(spec.seed, i, MU_MAX_STREAM)
+        profiles.append(WorkerProfile(
+            id=i,
+            reputation=rep.lo + (rep.hi - rep.lo) * u,
+            mu_max=min(hi, lo + int(v * (hi - lo + 1))),
+        ))
+    return profiles
 
 
 # --- worker queues ----------------------------------------------------------

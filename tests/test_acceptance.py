@@ -12,7 +12,7 @@ import numpy as np
 from conftest import DESK_SEED, DESK_SLOTS
 
 from workrest.cli import main as cli_main
-from workrest.engine import ConstantMoods, SimConfig, run
+from workrest.engine import SimConfig, run
 from workrest.policies import PolicyParams
 from workrest.workers import WorkerProfile
 
@@ -84,7 +84,7 @@ def test_criterion_04_me_dominance(desk):
         slots=DESK_SLOTS, load_factor=0.4, policy=PolicyParams(kind="me"),
         seed=DESK_SEED,
     )
-    res = run(config, pop, mood_source=ConstantMoods(1.0))
+    res = run(config, pop, mood_source=lambda t, ids: np.full(len(ids), 1.0))
     zero_expiry_ok = res.metrics.expiry_avg == 0.0 and res.expired_total == 0
 
     ok = dominance_ok and zero_expiry_ok
@@ -232,7 +232,9 @@ def test_criterion_10_unit_examples():
     config = SimConfig(
         slots=2, load_factor=0.5, policy=PolicyParams(kind="cpl", phi=5.0)
     )
-    res = run(config, pop, mood_source=ConstantMoods(0.5), record_worker_trace=True)
+    res = run(
+        config, pop, mood_source=lambda t, ids: np.full(len(ids), 0.5), record_worker_trace=True
+    )
     slot0, slot1 = res.reports
     trace_ok = (
         slot0.arrivals == 2 and slot0.completions == 0

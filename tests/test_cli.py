@@ -65,6 +65,17 @@ class TestGenWorkers:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("dist", [
+        "const:inf", "uniform:1,inf", "const:nan", "uniform:1,1e30", "const:1.5", "uniform:0,5",
+    ])
+    def test_capacity_support_outside_whole_numbers_is_usage_error(self, tmp_path, capsys, dist):
+        out = tmp_path / "w.csv"
+        assert run_cli("gen-workers", "--n", "3", "--mu-max-dist", dist, "--out", str(out)) == 2
+        assert "mu_max distribution bounds must be whole numbers in [1, 2**53]" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_platform_scale_population(self, tmp_path):
         out = tmp_path / "big.csv"
         assert run_cli("gen-workers", "--n", "5547", "--seed", "7", "--out", str(out)) == 0
@@ -106,6 +117,14 @@ class TestSimulate:
             "simulate", "--policy", "cpl", "--lf", "0.5", "--workers", workers_csv
         )
         assert code == 2
+
+    def test_nan_knob_is_usage_error(self, capsys, workers_csv):
+        code = run_cli(
+            "simulate", "--policy", "cpl", "--phi", "nan", "--lf", "0.5", "--slots", "5",
+            "--workers", workers_csv,
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: cpl requires phi > 0, got nan\n")
 
     def test_phi_with_me_is_usage_error(self, workers_csv):
         code = run_cli(
@@ -325,6 +344,11 @@ class TestSweepAndReport:
                        "--workers", workers_csv) == 2
         err = capsys.readouterr().err
         assert "slots must be >= 1" in err and "sweep point" not in err
+
+    def test_nan_grid_value_rejected_before_any_point(self, workers_csv, capsys):
+        assert run_cli("sweep", "--policies", "cpl", "--phi-grid", "5,nan", "--lf-grid", "0.5",
+                       "--slots", "5", "--workers", workers_csv) == 2
+        assert capsys.readouterr() == ("", "error: cpl requires phi > 0, got nan\n")
 
     def test_unknown_policy_is_usage_error(self, workers_csv):
         assert run_cli(

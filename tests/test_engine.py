@@ -9,9 +9,7 @@ import oracle
 from oracle import TaskCohort, WorkerState, mood_sample, to_worker_states
 from shadow import ShadowSim
 from workrest.engine import (
-    ConstantMoods,
     CounterMoods,
-    MatrixMoods,
     SimConfig,
     SimulationError,
     _consume_oldest_first,
@@ -39,7 +37,7 @@ class TestHandTrace:
     def result(self):
         return run(
             cpl_config(), single_worker(),
-            mood_source=ConstantMoods(0.5), record_worker_trace=True,
+            mood_source=lambda t, ids: np.full(len(ids), 0.5), record_worker_trace=True,
         )
 
     def test_slot0_rests_and_builds_pressure(self, result):
@@ -69,7 +67,7 @@ class TestHandTrace:
         config = SimConfig(
             slots=1, load_factor=0.2, policy=PolicyParams(kind="me"), seed=0
         )
-        res = run(config, pop, mood_source=ConstantMoods(0.5))
+        res = run(config, pop, mood_source=lambda t, ids: np.full(len(ids), 0.5))
         assert res.reports[0].arrivals == 2
         assert res.metrics.effort_avg == 0.4
 
@@ -262,7 +260,7 @@ class TestRunInvariants:
         config = SimConfig(
             slots=200, load_factor=0.4, policy=PolicyParams(kind="me"), seed=0
         )
-        res = run(config, pop, mood_source=ConstantMoods(1.0))
+        res = run(config, pop, mood_source=lambda t, ids: np.full(len(ids), 1.0))
         assert res.expired_total == 0
         assert res.metrics.expiry_avg == 0.0
         assert all(r.completions == r.arrivals for r in res.reports)
@@ -271,7 +269,8 @@ class TestRunInvariants:
         # Capacity clears everything in-slot, so pending is never zero at
         # observation time; instead check the counter on a normal run.
         pop = single_worker()
-        res = run(cpl_config(slots=10), pop, mood_source=ConstantMoods(0.5))
+        res = run(cpl_config(slots=10), pop,
+                  mood_source=lambda t, ids: np.full(len(ids), 0.5))
         assert res.metrics.slots_counted_for_completion == 10
 
     def test_workload_can_round_to_zero_tasks(self):
@@ -474,14 +473,6 @@ class TestMoodSources:
         assert vals[0] == mood_sample(77, 3, 5)
         assert vals[1] == mood_sample(77, 9, 5)
 
-    def test_matrix_moods(self):
-        source = MatrixMoods(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert source(1, np.array([0, 1])).tolist() == [0.3, 0.4]
-
-    def test_constant_moods_validation(self):
-        with pytest.raises(ValueError):
-            ConstantMoods(1.5)
-
     @pytest.mark.parametrize("moods,message", [
         (np.full((4, 1), 0.5), r"^slot 0: mood source gave shape \(1,\)"),
         (_moods_bad_at_slot_2(1.7), r"^slot 2: moods must lie in \[0, 1\]"),
@@ -492,4 +483,4 @@ class TestMoodSources:
         pop = [WorkerProfile(id=i, reputation=1.0, mu_max=4) for i in range(3)]
         config = SimConfig(slots=4, load_factor=0.5, policy=PolicyParams(kind="me"))
         with pytest.raises(ValueError, match=message):
-            run(config, pop, mood_source=MatrixMoods(moods))
+            run(config, pop, mood_source=lambda t, ids: moods[t])

@@ -44,6 +44,14 @@ class TestParams:
             PolicyParams(kind="mw", theta2=-0.5)
         with pytest.raises(ValueError):
             PolicyParams(kind="nope")
+        with pytest.raises(ValueError, match=r"^cpl requires phi > 0, got nan$"):
+            PolicyParams(kind="cpl", phi=math.nan)
+        with pytest.raises(ValueError, match=r"^ac requires sigma > 0, got nan$"):
+            PolicyParams(kind="ac", sigma=math.nan)
+        with pytest.raises(ValueError, match=r"^mt requires theta1 in \[0, 1\], got 1.5$"):
+            PolicyParams(kind="mt", theta1=1.5)
+        with pytest.raises(ValueError, match=r"^mw requires theta2 in \[0, 1\], got nan$"):
+            PolicyParams(kind="mw", theta2=math.nan)
 
     def test_knob_names(self):
         assert PolicyParams(kind="me").knob_name == "none"

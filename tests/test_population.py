@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from workrest.delegation import collective_capacity
 from workrest.population import (
     Distribution,
@@ -115,3 +118,40 @@ class TestGenerate:
             PopulationSpec(count=3, reputation_dist=Distribution.uniform(0.5, 1.5))
         with pytest.raises(ValueError):
             PopulationSpec(count=3, mu_max_dist=Distribution.constant(0))
+        with pytest.raises(ValueError, match=r"out of order: \[5, 1\]"):
+            Distribution(5, 1)
+        inf, nan = float("inf"), float("nan")
+        for lo, hi in [(0, 5), (1.5, 1.5), (1.5, 10), (1, 10.5), (inf, inf), (1, inf),
+                       (nan, nan), (1, 1e30), (1, 2**53 + 2)]:
+            with pytest.raises(ValueError, match=r"whole numbers in \[1, 2\*\*53\], got \["):
+                PopulationSpec(count=3, mu_max_dist=Distribution(lo, hi))
+
+    def test_capacity_bounds_at_the_limits(self):
+        spec = PopulationSpec(count=50, mu_max_dist=Distribution.uniform(1.0, 2.0**53), seed=9)
+        assert all(1 <= p.mu_max <= 2**53 for p in generate(spec))
+        spec = PopulationSpec(count=3, mu_max_dist=Distribution.constant(2**53))
+        assert [p.mu_max for p in generate(spec)] == [2**53] * 3
+
+
+def _ranges(elements):
+    """``(lo, hi)`` pairs drawn from ``elements``: ordered ranges and constants."""
+    return st.tuples(elements, elements).map(sorted) | elements.map(lambda v: [v, v])
+
+
+class TestGenerateMatchesTheScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        count=st.integers(1, 200),
+        seed=st.integers(0, 2**64 - 1),
+        rep=_ranges(st.floats(0.0, 1.0)),
+        cap=_ranges(st.integers(1, 10) | st.integers(1, 2**53)),
+        float_caps=st.booleans(),
+    )
+    def test_profiles_and_reputation_reprs_equal(self, count, seed, rep, cap, float_caps):
+        if float_caps:  # the command line passes capacity bounds as floats
+            cap = [float(b) for b in cap]
+        spec = PopulationSpec(count, Distribution(*rep), Distribution(*cap), seed)
+        got, want = generate(spec), oracle.generate(spec)
+        assert got == want
+        assert [repr(p.reputation) for p in got] == [repr(p.reputation) for p in want]
+        assert all(type(p.mu_max) is int for p in got)

@@ -33,6 +33,9 @@ class TestWorkerProfile:
             dict(id=0, reputation=-0.1, mu_max=3),
             dict(id=0, reputation=1.5, mu_max=3),
             dict(id=0, reputation=0.5, mu_max=0),
+            dict(id=0, reputation=0.5, mu_max=2.5),
+            dict(id=0, reputation=0.5, mu_max=float("inf")),
+            dict(id=0, reputation=0.5, mu_max=float("nan")),
         ],
     )
     def test_invalid(self, kwargs):

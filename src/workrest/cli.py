@@ -60,21 +60,24 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            pieces = part.split(":")
-            if len(pieces) != 3:
-                raise UsageError(f"bad grid range {part!r}, expected start:stop:step")
-            start, stop, step_ = (float(p) for p in pieces)
-            if step_ <= 0:
-                raise UsageError(f"grid step must be positive in {part!r}")
-            v = start
-            while v <= stop + 1e-9:
-                values.append(round(v, 10))
-                v += step_
-        else:
-            values.append(float(part))
+        try:
+            pieces = [float(p) for p in part.split(":")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad grid part {part!r}, expected numbers") from None
+        if len(pieces) == 1:
+            values.append(pieces[0])
+            continue
+        if len(pieces) != 3:
+            raise argparse.ArgumentTypeError(f"bad grid range {part!r}, expected start:stop:step")
+        start, stop, step_ = pieces
+        if step_ <= 0:
+            raise argparse.ArgumentTypeError(f"grid step must be positive in {part!r}")
+        v = start
+        while v <= stop + 1e-9:
+            values.append(round(v, 10))
+            v += step_
     if not values:
-        raise UsageError(f"empty grid {text!r}")
+        raise argparse.ArgumentTypeError(f"empty grid {text!r}")
     return tuple(values)
 
 
@@ -206,9 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
     """The grid of the flags that were given; ``SweepSpec`` fills in the rest."""
-    grids = {
-        name: _parse_grid(getattr(args, name)) for name in _GRIDS if getattr(args, name) is not None
-    }
+    grids = {name: getattr(args, name) for name in _GRIDS if getattr(args, name) is not None}
     if args.policies is not None:
         grids["policies"] = tuple(
             p.strip().lower() for p in args.policies.split(",") if p.strip()
@@ -271,14 +272,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     swp = sub.add_parser("sweep", help="run a (policy x knob x load factor) grid")
     swp.add_argument("--policies", help="comma list (default: all five)")
     for name in _GRIDS:
-        swp.add_argument("--" + name.replace("_", "-"),
+        swp.add_argument("--" + name.replace("_", "-"), type=_parse_grid,
                          help="comma list and/or start:stop:step ranges")
     swp.add_argument("--slots", type=int, default=10_000)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--deadline", type=_parse_deadline, default=3)
     swp.add_argument("--workers")
     swp.add_argument("--gen-n", type=int)
-    swp.add_argument("--jobs", type=int, default=1, help="parallel sweep processes")
+    swp.add_argument("--jobs", type=int, default=1, help="parallel sweep processes (>= 1)")
     swp.add_argument("--out", help="sweep CSV path (default: stdout)")
     swp.add_argument("--config", help="JSON file with defaults for these flags")
     swp.set_defaults(func=cmd_sweep)

@@ -74,7 +74,6 @@ class SlotReport:
     pending_total: int
     effort_sum: float
     expiry_ratio_sum: float
-    workers_with_pending: int
     lyapunov: float
     drift_lhs: float
     drift_rhs: float
@@ -94,10 +93,12 @@ class RunMetrics:
 class SimState:
     """Per-worker queue state plus run-length accumulators.
 
-    ``buckets[:, a]`` holds each worker's tasks of age ``a``, one column
-    per age below the deadline; without a deadline it is one column, the
-    whole backlog. It is stored age-major (Fortran order), so each age is
-    one contiguous column that a slot drains with one vector operation.
+    ``deadline`` is the run's deadline when a task can reach it within the
+    run (``deadline <= slots``), and ``None`` otherwise: a longer one
+    expires nothing. ``buckets[:, a]`` holds each worker's tasks of age
+    ``a``, one column per age below ``deadline`` (one column, the whole
+    backlog, without one), age-major (Fortran order): each age is one
+    contiguous column that a slot drains with one vector operation.
     ``q`` is the carried backlog (before the current slot's arrivals) and
     always equals the bucket row sums. ``lambda_max`` and ``mu_max_global``
     are the drift diagnostics' uniform bounds: the
@@ -117,6 +118,7 @@ class SimState:
     w_req: int
     lambda_max: int
     mu_max_global: int
+    deadline: int | None
     lyap2: int = 0
 
     @classmethod
@@ -129,11 +131,12 @@ class SimState:
             raise ValueError("worker ids must be unique")
         w_req = slot_workload(config.load_factor, collective_capacity(population))
         g = max(p.mu_max for p in population)
+        deadline = config.deadline if (config.deadline or 0) <= config.slots else None
         # Float shares hold w_req exactly up to 2**53. A backlog total of at most
         # min(D, T) * w_req and each Q <= T * g bound every int64 sum of phase 7.
         if w_req > 2**53:
             raise ValueError(f"slot workload {w_req} exceeds 2**53, the bound for exact float shares")
-        backlog_cap = min(config.deadline or config.slots, config.slots) * w_req
+        backlog_cap = (deadline or config.slots) * w_req
         largest = max(backlog_cap * (backlog_cap + g), n * (config.slots * g) ** 2)
         if largest >= 2**63:
             raise ValueError(f"int64 drift sums may reach {largest}, beyond 2**63 (backlog <= "
@@ -142,7 +145,7 @@ class SimState:
             ids=ids,
             reputation=np.array([p.reputation for p in population]),
             mu_max=np.array([p.mu_max for p in population], dtype=np.int64),
-            buckets=np.zeros((n, config.deadline or 1), dtype=np.int64, order="F"),
+            buckets=np.zeros((n, deadline or 1), dtype=np.int64, order="F"),
             q=np.zeros(n, dtype=np.int64),
             Q=np.zeros(n, dtype=np.int64),
             x_sum=np.zeros(n, dtype=np.int64),
@@ -150,11 +153,8 @@ class SimState:
             w_req=w_req,
             lambda_max=max(1, w_req),
             mu_max_global=g,
+            deadline=deadline,
         )
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.ids)
 
 
 class CounterMoods:
@@ -244,15 +244,16 @@ def _step_arrays(
     # Phase 6: consume oldest-first; with a deadline, the oldest column
     # expires and the rest age by one slot.
     _consume_oldest_first(state.buckets, mu)
-    if config.deadline is None:
-        expired = np.zeros(state.n_workers, dtype=np.int64)
+    if state.deadline is None:
+        expired = np.zeros(len(state.ids), dtype=np.int64)
     else:
         expired = state.buckets[:, -1].copy()
         state.buckets[:, 1:] = state.buckets[:, :-1]
         state.buckets[:, 0] = 0
-    q_next = q_hat - mu - expired
-    if int(state.buckets.sum()) != int(q_next.sum()):
+    completions, expired_total = int(mu.sum()), int(expired.sum())
+    if int(state.buckets.sum()) != n_total - completions - expired_total:
         raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
+    q_next = q_hat - mu - expired
 
     # Phase 7: drift from the carried queues to the slot's outgoing ones.
     lhs2, rhs2, state.lyap2 = drift_bound_sides(
@@ -266,16 +267,14 @@ def _step_arrays(
     state.x_sum += x
     state.mu_sum += mu
     pending = q_hat > 0
-    expiry_ratio_sum = float((expired[pending] / q_hat[pending]).sum())
     report = SlotReport(
         slot=t,
-        arrivals=int(lam.sum()),
-        completions=int(mu.sum()),
-        expired=int(expired.sum()),
+        arrivals=state.w_req,
+        completions=completions,
+        expired=expired_total,
         pending_total=n_total,
         effort_sum=float(xi.sum()),
-        expiry_ratio_sum=expiry_ratio_sum,
-        workers_with_pending=int(pending.sum()),
+        expiry_ratio_sum=float((expired[pending] / q_hat[pending]).sum()),
         lyapunov=state.lyap2 / 2.0,
         drift_lhs=lhs2 / 2.0,
         drift_rhs=rhs2 / 2.0,
@@ -337,14 +336,12 @@ def run(
     state = SimState.from_population(population, config)
     if mood_source is None:
         mood_source = CounterMoods(config.seed)
-    n = state.n_workers
+    n = len(state.ids)
 
     effort_total = 0.0
     expiry_ratio_total = 0.0
     completion_ratio_total = 0.0
     slots_with_pending = 0
-    arrivals_total = 0
-    completions_total = 0
     expired_total = 0
     drift_violations = 0
     reports: list[SlotReport] = []
@@ -359,8 +356,6 @@ def run(
         if report.pending_total > 0:
             completion_ratio_total += report.completions / report.pending_total
             slots_with_pending += 1
-        arrivals_total += report.arrivals
-        completions_total += report.completions
         expired_total += report.expired
         drift_violations += drift_violated
         if keep_reports:
@@ -381,8 +376,8 @@ def run(
         metrics=metrics,
         reports=reports,
         final_state=state,
-        arrivals_total=arrivals_total,
-        completions_total=completions_total,
+        arrivals_total=config.slots * state.w_req,
+        completions_total=int(state.mu_sum.sum()),
         expired_total=expired_total,
         drift_violations=drift_violations,
         trace=None if trace is None else {k: np.array(v) for k, v in trace.items()},

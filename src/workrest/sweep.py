@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -172,18 +173,20 @@ def run_sweep(
 ):
     """Execute the grid and build rows in deterministic grid order.
 
-    Points are independent, so ``jobs > 1`` fans them out across
-    processes; the row order (and therefore the output file) is identical
-    either way. Returns the row list, or ``(rows, diagnostics)`` when
-    ``collect_diagnostics`` is set.
+    Points are independent, so ``jobs > 1`` fans them out across at most
+    ``jobs`` processes, one per point and CPU at most; the row order (and
+    therefore the output file) is identical either way. Returns the row
+    list, or ``(rows, diagnostics)`` when ``collect_diagnostics`` is set.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = spec.grid_points()
     payloads = [
         (tuple(population), params, lf, spec.slots, spec.seed, spec.deadline)
         for params, lf in points
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points), os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(_run_point, payloads, chunksize=4))
     else:
         outcomes = [_run_point(p) for p in payloads]

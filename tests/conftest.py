@@ -2,11 +2,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from workrest import PopulationSpec, generate
+from workrest.delegation import apportion
 from workrest.sweep import SweepSpec, aggregate_report, run_sweep
 
 DESK_SEED = 7
@@ -26,6 +28,13 @@ def desk_sweep_spec() -> SweepSpec:
         seed=DESK_SEED,
         deadline=3,
     )
+
+
+def lossy_apportion(w_req, weights, ids):
+    """A delegation bug: one unit of every slot's workload goes missing."""
+    lam = apportion(w_req, weights, ids)
+    lam[np.argmax(lam)] -= 1
+    return lam
 
 
 @dataclass

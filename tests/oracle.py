@@ -184,7 +184,7 @@ def complete_and_age(
 def to_worker_states(state: SimState) -> list[WorkerState]:
     """Export the engine's per-worker states with oldest-first cohort FIFOs."""
     out = []
-    for i in range(state.n_workers):
+    for i in range(len(state.ids)):
         backlog = [
             TaskCohort(count=int(state.buckets[i, a]), age=a)
             for a in range(state.buckets.shape[1] - 1, -1, -1)

@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import desk_sweep_spec
+from conftest import desk_sweep_spec, lossy_apportion
 from workrest import cli, engine
 from workrest.cli import main
 from workrest.population import Distribution, PopulationSpec, generate, load_csv
-from workrest.sweep import SweepSpec, run_sweep, sweep_rows_to_csv
+from workrest.sweep import SWEEP_HEADER, SweepSpec, run_sweep, sweep_rows_to_csv
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -328,6 +328,7 @@ class TestSweepAndReport:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 1 + 3
+        assert cli.parse_args(["sweep", "--phi-grid", "5,,25"]).phi_grid == (5.0, 25.0)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_point_validation_error_is_usage_error(self, tmp_path, capsys, jobs):
@@ -363,6 +364,55 @@ class TestSweepAndReport:
 
     def test_report_missing_file_is_io_error(self, tmp_path):
         assert run_cli("report", str(tmp_path / "absent.csv")) == 1
+
+
+SIMULATE_ME = ["simulate", "--policy", "me", "--lf", "0.5", "--slots", "5"]
+SWEEP_ME = ["sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "5", "--gen-n", "5"]
+HEADER = "worker_id,reputation,mu_max\n"
+
+
+class TestUsageErrors:
+    """Malformed flags, config files and input files exit 2 with a message
+    that names what is wrong. ``{tmp}`` in an argument is the test's
+    directory, where ``files`` are written first."""
+
+    CASES = {
+        "grid-range-of-two": ({}, ["sweep", "--phi-grid", "5:10"],
+                              ["argument --phi-grid", "bad grid range '5:10'", "start:stop:step"]),
+        "grid-step-zero": ({}, ["sweep", "--phi-grid", "5:1:0"],
+                           ["argument --phi-grid", "grid step must be positive in '5:1:0'"]),
+        "grid-empty": ({}, ["sweep", "--phi-grid", ","], ["argument --phi-grid", "empty grid ','"]),
+        "grid-not-a-number": ({}, ["sweep", "--lf-grid", "5:x:1"],
+                              ["argument --lf-grid", "bad grid part '5:x:1'"]),
+        "jobs-zero": ({}, [*SWEEP_ME, "--jobs", "0"], ["jobs must be >= 1, got 0"]),
+        "jobs-negative": ({}, [*SWEEP_ME, "--jobs", "-3"], ["jobs must be >= 1, got -3"]),
+        "dist-kind": ({}, ["gen-workers", "--n", "3", "--rep-dist", "beta:1,2", "--out", "{tmp}/w"],
+                      ["bad distribution 'beta:1,2', expected const:V or uniform:LO,HI"]),
+        "dist-one-bound": ({}, ["gen-workers", "--n", "3", "--rep-dist", "uniform:1", "--out",
+                                "{tmp}/w"], ["bad distribution 'uniform:1': "]),
+        "config-not-object": ({"c.json": "[1, 2]"}, ["simulate", "--config", "{tmp}/c.json"],
+                              ["c.json: config must be a JSON object"]),
+        "workers-and-gen-n": ({}, [*SIMULATE_ME, "--workers", "{tmp}/w.csv", "--gen-n", "5"],
+                              ["give either --workers or --gen-n, not both"]),
+        "workers-empty": ({"w.csv": ""}, [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
+                          ["w.csv: empty file, expected header"]),
+        "workers-two-fields": ({"w.csv": HEADER + "0,0.5,3\n\n2,0.5\n"},
+                               [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
+                               ["w.csv:4: expected 3 fields, got 2"]),
+        "workers-bad-reputation": ({"w.csv": HEADER + "0,abc,3\n"},
+                                   [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
+                                   ["w.csv:2: malformed row ['0', 'abc', '3']"]),
+        "report-short-row": ({"s.csv": ",".join(SWEEP_HEADER) + "\n\nme,none,0.0\n"},
+                             ["report", "{tmp}/s.csv"], ["bad sweep row ['me', 'none', '0.0']"]),
+    }
+
+    @pytest.mark.parametrize("files,argv,fragments", CASES.values(), ids=CASES.keys())
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, files, argv, fragments):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert all(f in err for f in fragments), err
 
 
 class TestExperimentConfigs:
@@ -428,6 +478,14 @@ class TestFailedInvariants:
         err = capsys.readouterr().err
         named = "error: slot 0:" if argv[0] == "simulate" else "error: sweep point (policy=me"
         assert err.startswith(named) and "completed" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_lost_delegation_unit_exits_3(self, monkeypatch, capsys, workers_csv, argv):
+        monkeypatch.setattr(engine, "apportion", lossy_apportion)
+        assert run_cli(*argv, "--slots", "5", "--workers", workers_csv) == 3
+        assert capsys.readouterr().err == (
+            "drift-bound violations: 0/5 slots; stability: True; task conservation: False\n"
+        )
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
     def test_health_line_failure_exits_3(self, monkeypatch, capsys, workers_csv, argv):

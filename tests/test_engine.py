@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import lossy_apportion
 from oracle import TaskCohort, WorkerState, mood_sample, to_worker_states
 from shadow import ShadowSim
+from workrest import engine
 from workrest.engine import (
     CounterMoods,
     SimConfig,
@@ -136,12 +138,10 @@ class TestDriftBound:
 
     def test_violations_are_counted_on_the_exact_sides(self, monkeypatch):
         # Halved to floats, 2**59 + 1 and 2**59 round to the same value.
-        import workrest.engine as engine_mod
-
         def stub(q, Q, lam, mu, x, q_next, Q_next, lyap2, lambda_max, mu_max_global):
             return 2**60 + 2, 2**60, lyap2
 
-        monkeypatch.setattr(engine_mod, "drift_bound_sides", stub)
+        monkeypatch.setattr(engine, "drift_bound_sides", stub)
         res = run(SimConfig(slots=5, load_factor=0.5, policy=PolicyParams(kind="me")),
                   single_worker())
         assert all(r.drift_lhs == r.drift_rhs == 2.0**59 for r in res.reports)
@@ -172,7 +172,8 @@ class TestEngineMatchesScalarOracle:
         policy_params_strategy,
         st.floats(min_value=0.05, max_value=1.0),
         st.integers(min_value=0, max_value=2**32),
-        st.sampled_from([1, 2, 3, 5, None]),
+        # 30 and 31 are the run's length and one past it; 10**9 never binds.
+        st.sampled_from([1, 2, 3, 5, 30, 31, 10**9, None]),
     )
     @settings(max_examples=60, deadline=None)
     def test_full_equivalence(self, worker_rows, params, lf, seed, deadline):
@@ -216,10 +217,10 @@ class TestEngineMatchesScalarOracle:
             assert report.effort_sum == slot.effort_sum
             assert report.expiry_ratio_sum == slot.expiry_ratio_sum
         # the exported per-worker FIFOs agree with the scalar states; without
-        # a deadline ages are not engine state, so only the queues compare
+        # a binding deadline ages are not engine state, so only the queues compare
         final_workers = to_worker_states(result.final_state)
         assert oracle.compute_lyapunov(final_workers) == result.reports[-1].lyapunov
-        if deadline is None:
+        if result.final_state.deadline is None:
             final = result.final_state
             assert list(zip(final.q.tolist(), final.Q.tolist())) == [
                 (s.q, s.conceptual_q) for s in ref.states
@@ -289,7 +290,7 @@ class TestRunInvariants:
 
     def test_expiry_ratio_counts_only_pending_workers(self):
         # Worker 1 has zero reputation: it never receives tasks, so only
-        # worker 0 can appear in the expiry-ratio denominator count.
+        # worker 0 is ever pending and enters the expiry ratio.
         pop = [
             WorkerProfile(id=0, reputation=1.0, mu_max=2),
             WorkerProfile(id=1, reputation=0.0, mu_max=9),
@@ -300,12 +301,21 @@ class TestRunInvariants:
         )
         res = run(config, pop, record_worker_trace=True)
         for t, report in enumerate(res.reports):
-            assert report.workers_with_pending == 1
+            assert np.count_nonzero(res.trace["q_hat"][t]) == 1
             assert (res.trace["lam"][t][1], res.trace["mu"][t][1]) == (0, 0)
             if report.expired:
                 # never works: from slot 2 on, the oldest cohort expires
                 q_hat = int(res.trace["q_hat"][t][0])
                 assert report.expiry_ratio_sum == report.expired / q_hat
+
+    def test_conservation_catches_a_lost_delegation_unit(self, monkeypatch):
+        # The ledger counts arrivals as the slot workload, not as the units
+        # delegation handed out, so a unit lost in delegation shows.
+        monkeypatch.setattr(engine, "apportion", lossy_apportion)
+        config = SimConfig(slots=5, load_factor=0.5, policy=PolicyParams(kind="me"))
+        res = run(config, [WorkerProfile(id=i, reputation=1.0, mu_max=4) for i in range(3)])
+        assert res.arrivals_total == 5 * 6
+        assert not res.conserves_tasks()
 
     def test_determinism_bit_identical(self):
         pop = [
@@ -385,6 +395,20 @@ class TestNoDeadline:
         assert res.final_state.buckets.shape == (len(pop), 1)
         assert res.pending_final == res.arrivals_total
 
+    def test_deadline_beyond_the_run_is_no_deadline(self):
+        # A deadline longer than the run expires nothing, so it costs what
+        # no deadline costs: one column, not one per age up to 10**9.
+        pop = [WorkerProfile(id=i, reputation=1.0, mu_max=2 + i) for i in range(10)]
+        runs = [
+            run(SimConfig(slots=5, load_factor=0.5, policy=PolicyParams(kind="me"),
+                          deadline=deadline), pop)
+            for deadline in (10**9, None)
+        ]
+        assert [r.final_state.deadline for r in runs] == [None, None]
+        assert runs[0].final_state.buckets.shape == (len(pop), 1)
+        assert runs[0].reports == runs[1].reports
+        assert runs[0].metrics == runs[1].metrics
+
 
 class TestValidation:
     def test_zero_capacity_population_rejected(self):
@@ -447,12 +471,10 @@ class TestValidation:
 
     def test_overcompletion_aborts(self, monkeypatch):
         # the policy layer cannot produce mu > backlog, so fake a buggy one
-        import workrest.engine as engine_mod
-
         def buggy_decide(params, q, Q, m, mu_max, floor):
             return np.ones(len(q)), q + 1
 
-        monkeypatch.setattr(engine_mod, "decide", buggy_decide)
+        monkeypatch.setattr(engine, "decide", buggy_decide)
         config = SimConfig(
             slots=1, load_factor=0.5, policy=PolicyParams(kind="me"), seed=0
         )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import workrest.sweep as sweep_mod
 from workrest.population import PopulationSpec, generate
 from workrest.sweep import (
     SWEEP_HEADER,
@@ -60,6 +61,40 @@ class TestGrid:
         assert serial == parallel
         assert sweep_rows_to_csv(serial) == sweep_rows_to_csv(parallel)
 
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (2, 8, 2),
+        (64, 8, 3),  # no more processes than the grid's 3 points
+        (64, 2, 2),  # nor than the CPUs
+        (64, None, 1),  # an unknown CPU count counts as one
+    ])
+    def test_pool_size_is_bounded(self, tiny_population, monkeypatch, jobs, cpus, workers):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        spec = tiny_spec(lf_grid=(0.1,))
+        serial = run_sweep(spec, tiny_population)
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
+        assert run_sweep(spec, tiny_population, jobs=jobs) == serial
+        assert sizes == [workers]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tiny_population, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_sweep(tiny_spec(), tiny_population, jobs=jobs)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(policies=("me", "xx"))
@@ -94,8 +129,6 @@ class TestGrid:
         assert all(r.effort_pct_of_me is None for r in reparsed)
 
     def test_failing_point_is_named(self, tiny_population, monkeypatch):
-        import workrest.sweep as sweep_mod
-
         def boom(config, population, keep_reports=True, **kw):
             raise ArithmeticError("kaput")
 

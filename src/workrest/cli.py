@@ -11,7 +11,8 @@ every run; any failure there exits 3 too.
 ``simulate`` and ``sweep`` also accept ``--config FILE`` with a JSON
 object whose keys mirror the long flag names (underscored). The file's
 values become the subcommand's defaults, so any flag given on the command
-line wins over them. A list is read as a comma list.
+line wins over them. Only ``policies`` and the grid keys take a list,
+read as a comma list.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ from .sweep import (
 
 # The SweepSpec grids that ``sweep`` takes as flags (``--phi-grid`` ...).
 _GRIDS = ("phi_grid", "sigma_grid", "theta1_grid", "theta2_grid", "lf_grid")
-
-
-class UsageError(ValueError):
-    """Validation failure that should exit with code 2."""
+_LIST_KEYS = ("policies",) + _GRIDS
 
 
 def _parse_deadline(text: str) -> int | None:
@@ -88,10 +86,10 @@ def _parse_dist(text: str) -> Distribution:
             return Distribution.constant(float(args))
         if kind == "uniform":
             lo, hi = (float(v) for v in args.split(","))
-            return Distribution.uniform(lo, hi)
+            return Distribution(lo, hi)
     except ValueError as exc:
-        raise UsageError(f"bad distribution {text!r}: {exc}") from None
-    raise UsageError(f"bad distribution {text!r}, expected const:V or uniform:LO,HI")
+        raise ValueError(f"bad distribution {text!r}: {exc}") from None
+    raise ValueError(f"bad distribution {text!r}, expected const:V or uniform:LO,HI")
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:
@@ -104,12 +102,14 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     with open(args.config, encoding="utf-8") as fh:
         file_values = json.load(fh)
     if not isinstance(file_values, dict):
-        raise UsageError(f"{args.config}: config must be a JSON object")
+        raise ValueError(f"{args.config}: config must be a JSON object")
     defaults = {}
     for key, value in file_values.items():
         attr = key.replace("-", "_")
         if attr not in vars(args) or attr in ("command", "func", "config"):
-            raise UsageError(f"{args.config}: unknown config key {key!r}")
+            raise ValueError(f"{args.config}: unknown config key {key!r}")
+        if isinstance(value, (dict, bool)) or isinstance(value, list) and attr not in _LIST_KEYS:
+            raise ValueError(f"{args.config}: config key {key!r} cannot be {json.dumps(value)}")
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
         defaults[attr] = value if value is None else str(value)
@@ -128,12 +128,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def _resolve_population(args: argparse.Namespace):
     if args.workers and args.gen_n:
-        raise UsageError("give either --workers or --gen-n, not both")
+        raise ValueError("give either --workers or --gen-n, not both")
     if args.workers:
         return load_csv(args.workers)
     if args.gen_n:
         return generate(PopulationSpec(count=args.gen_n, seed=args.seed))
-    raise UsageError("a population is required: --workers CSV or --gen-n N")
+    raise ValueError("a population is required: --workers CSV or --gen-n N")
 
 
 def _build_policy(args: argparse.Namespace) -> PolicyParams:
@@ -146,7 +146,7 @@ def _build_policy(args: argparse.Namespace) -> PolicyParams:
     policy = PolicyParams(kind=args.policy.lower(), **knobs)
     for name in knobs:
         if name != policy.knob_name:
-            raise UsageError(f"--{name} is not a knob of policy {policy.kind!r}")
+            raise ValueError(f"--{name} is not a knob of policy {policy.kind!r}")
     return policy
 
 
@@ -186,7 +186,7 @@ def cmd_gen_workers(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     for name in ("policy", "lf"):
         if getattr(args, name) is None:
-            raise UsageError(f"simulate requires --{name} (or {name!r} in --config)")
+            raise ValueError(f"simulate requires --{name} (or {name!r} in --config)")
     policy = _build_policy(args)
     population = _resolve_population(args)
     config = SimConfig(
@@ -239,6 +239,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Work-rest scheduling simulator and experiment harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # simulate's and sweep's shared flags, built per call: subparsers share a
+    # parent's actions, and parse_args sets the --config defaults on them.
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--slots", type=int, default=10_000)
+    run_flags.add_argument("--seed", type=int, default=0)
+    run_flags.add_argument("--deadline", type=_parse_deadline, default=3,
+                           help="task deadline in slots, or 'inf' (default: 3)")
+    run_flags.add_argument("--workers", help="worker CSV path")
+    run_flags.add_argument("--gen-n", type=int, help="synthetic population size")
+    run_flags.add_argument("--config", help="JSON file with defaults for these flags")
 
     gen = sub.add_parser("gen-workers", help="write a synthetic worker CSV")
     gen.add_argument("--n", type=int, required=True, help="population size")
@@ -251,37 +261,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_workers)
 
-    sim = sub.add_parser("simulate", help="run one configuration")
+    sim = sub.add_parser("simulate", parents=[run_flags], help="run one configuration")
     sim.add_argument("--policy", help="me|mt|mw|ac|cpl (required)")
-    sim.add_argument("--phi", type=float)
-    sim.add_argument("--sigma", type=float)
-    sim.add_argument("--theta1", type=float)
-    sim.add_argument("--theta2", type=float)
+    for knob in ("phi", "sigma", "theta1", "theta2"):
+        sim.add_argument("--" + knob, type=float)
     sim.add_argument("--lf", type=float, help="load factor in (0,1] (required)")
-    sim.add_argument("--slots", type=int, default=10_000)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--deadline", type=_parse_deadline, default=3,
-                     help="task deadline in slots, or 'inf' (default: 3)")
-    sim.add_argument("--workers", help="worker CSV path")
-    sim.add_argument("--gen-n", type=int, help="synthetic population size")
     sim.add_argument("--out", help="summary CSV path (default: stdout)")
     sim.add_argument("--per-slot", help="optional per-slot dump CSV path")
-    sim.add_argument("--config", help="JSON file with defaults for these flags")
     sim.set_defaults(func=cmd_simulate)
 
-    swp = sub.add_parser("sweep", help="run a (policy x knob x load factor) grid")
+    swp = sub.add_parser("sweep", parents=[run_flags],
+                         help="run a (policy x knob x load factor) grid")
     swp.add_argument("--policies", help="comma list (default: all five)")
     for name in _GRIDS:
         swp.add_argument("--" + name.replace("_", "-"), type=_parse_grid,
                          help="comma list and/or start:stop:step ranges")
-    swp.add_argument("--slots", type=int, default=10_000)
-    swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--deadline", type=_parse_deadline, default=3)
-    swp.add_argument("--workers")
-    swp.add_argument("--gen-n", type=int)
     swp.add_argument("--jobs", type=int, default=1, help="parallel sweep processes (>= 1)")
     swp.add_argument("--out", help="sweep CSV path (default: stdout)")
-    swp.add_argument("--config", help="JSON file with defaults for these flags")
     swp.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="aggregate a sweep CSV per policy")

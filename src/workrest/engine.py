@@ -100,11 +100,10 @@ class SimState:
     backlog, without one), age-major (Fortran order): each age is one
     contiguous column that a slot drains with one vector operation.
     ``q`` is the carried backlog (before the current slot's arrivals) and
-    always equals the bucket row sums. ``lambda_max`` and ``mu_max_global``
-    are the drift diagnostics' uniform bounds: the
-    per-slot workload (one worker could receive everything) and the
-    largest capacity. ``lyap2`` is twice the Lyapunov value of ``q`` and
-    ``Q``, a Python int so that it never wraps.
+    always equals the bucket row sums. ``mu_max_global`` is the largest
+    capacity, the drift diagnostics' uniform completion bound. ``lyap2`` is
+    twice the Lyapunov value of ``q`` and ``Q``, a Python int so that it
+    never wraps.
     """
 
     ids: np.ndarray
@@ -116,7 +115,6 @@ class SimState:
     x_sum: np.ndarray
     mu_sum: np.ndarray
     w_req: int
-    lambda_max: int
     mu_max_global: int
     deadline: int | None
     lyap2: int = 0
@@ -151,7 +149,6 @@ class SimState:
             x_sum=np.zeros(n, dtype=np.int64),
             mu_sum=np.zeros(n, dtype=np.int64),
             w_req=w_req,
-            lambda_max=max(1, w_req),
             mu_max_global=g,
             deadline=deadline,
         )
@@ -207,9 +204,9 @@ def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> None:
 
 def _step_arrays(
     state: SimState, config: SimConfig, t: int, mood_source
-) -> tuple[SlotReport, dict[str, np.ndarray], bool]:
-    """One slot over the state arrays; returns the report, the per-worker
-    data and whether the slot broke the drift bound (compared exactly)."""
+) -> tuple[SlotReport, bool]:
+    """One slot over the state arrays; returns the report and whether the
+    slot broke the drift bound (compared exactly)."""
     # Phase 1: delegation. Weights use the carried backlog, new cohorts
     # enter at age 0.
     weights = delegation_weights(state.reputation, state.mu_max, state.q)
@@ -255,10 +252,11 @@ def _step_arrays(
         raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
     q_next = q_hat - mu - expired
 
-    # Phase 7: drift from the carried queues to the slot's outgoing ones.
+    # Phase 7: drift from the carried queues to the slot's outgoing ones;
+    # the arrival bound is the slot workload (one worker could receive all).
     lhs2, rhs2, state.lyap2 = drift_bound_sides(
         state.q, state.Q, lam, mu, x, q_next, Q_next,
-        state.lyap2, state.lambda_max, state.mu_max_global,
+        state.lyap2, max(1, state.w_req), state.mu_max_global,
     )
 
     # Phase 8: state handoff and report.
@@ -279,11 +277,7 @@ def _step_arrays(
         drift_lhs=lhs2 / 2.0,
         drift_rhs=rhs2 / 2.0,
     )
-    per_worker = {
-        "lam": lam, "mu": mu, "expired": expired, "mood": m, "effort": xi,
-        "x": x, "q_hat": q_hat, "q_end": q_next, "Q_end": Q_next,
-    }
-    return report, per_worker, lhs2 > rhs2
+    return report, lhs2 > rhs2
 
 
 @dataclass
@@ -297,7 +291,6 @@ class RunResult:
     completions_total: int
     expired_total: int
     drift_violations: int
-    trace: dict[str, np.ndarray] | None = None
 
     @property
     def pending_final(self) -> int:
@@ -319,7 +312,6 @@ def run(
     population: Sequence[WorkerProfile],
     mood_source=None,
     keep_reports: bool = True,
-    record_worker_trace: bool = False,
 ) -> RunResult:
     """Simulate ``config.slots`` slots from empty queues.
 
@@ -345,12 +337,9 @@ def run(
     expired_total = 0
     drift_violations = 0
     reports: list[SlotReport] = []
-    trace: dict[str, list[np.ndarray]] | None = None
-    if record_worker_trace:
-        trace = {}
 
     for t in range(config.slots):
-        report, per_worker, drift_violated = _step_arrays(state, config, t, mood_source)
+        report, drift_violated = _step_arrays(state, config, t, mood_source)
         effort_total += report.effort_sum
         expiry_ratio_total += report.expiry_ratio_sum
         if report.pending_total > 0:
@@ -360,9 +349,6 @@ def run(
         drift_violations += drift_violated
         if keep_reports:
             reports.append(report)
-        if trace is not None:
-            for key, value in per_worker.items():
-                trace.setdefault(key, []).append(np.array(value, copy=True))
 
     metrics = RunMetrics(
         effort_avg=effort_total / (config.slots * n),
@@ -380,5 +366,4 @@ def run(
         completions_total=int(state.mu_sum.sum()),
         expired_total=expired_total,
         drift_violations=drift_violations,
-        trace=None if trace is None else {k: np.array(v) for k, v in trace.items()},
     )

@@ -35,10 +35,6 @@ class Distribution:
     def constant(cls, value: float) -> "Distribution":
         return cls(value, value)
 
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "Distribution":
-        return cls(lo, hi)
-
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -46,8 +42,8 @@ class PopulationSpec:
     are uniform integers on ``[lo, hi]``, whole numbers in [1, 2**53]."""
 
     count: int
-    reputation_dist: Distribution = Distribution.uniform(0.5, 1.0)
-    mu_max_dist: Distribution = Distribution.uniform(1, 10)
+    reputation_dist: Distribution = Distribution(0.5, 1.0)
+    mu_max_dist: Distribution = Distribution(1, 10)
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -64,27 +64,24 @@ class SweepSpec:
             raise ValueError("lf_grid must be non-empty")
         # Every grid value, selected or not, must make a valid point: the
         # ranges are PolicyParams' and SimConfig's own checks.
-        for kind, knob in KNOB_FIELDS.items():
-            if knob is not None:
-                for value in getattr(self, f"{knob}_grid"):
-                    PolicyParams(kind=kind, **{knob: value})
+        self._knob_params(POLICY_KINDS)
         me = PolicyParams(kind="me")
         for lf in self.lf_grid:
             SimConfig(slots=self.slots, load_factor=lf, policy=me, seed=self.seed,
                       deadline=self.deadline)
 
+    def _knob_params(self, kinds: Sequence[str]) -> list[PolicyParams]:
+        """Each knob policy in ``kinds`` at each value of its grid."""
+        return [
+            PolicyParams(kind=kind, **{knob: value})
+            for kind, knob in KNOB_FIELDS.items() if knob is not None and kind in kinds
+            for value in getattr(self, f"{knob}_grid")
+        ]
+
     def grid_points(self) -> list[tuple[PolicyParams, float]]:
         """Deterministic run order: ME rows first, then each policy's grid."""
-        points: list[tuple[PolicyParams, float]] = []
-        for lf in self.lf_grid:
-            points.append((PolicyParams(kind="me"), lf))
-        for kind, knob in KNOB_FIELDS.items():
-            if knob is None or kind not in self.policies:
-                continue
-            for value in getattr(self, f"{knob}_grid"):
-                for lf in self.lf_grid:
-                    points.append((PolicyParams(kind=kind, **{knob: value}), lf))
-        return points
+        me = PolicyParams(kind="me")
+        return [(p, lf) for p in [me] + self._knob_params(self.policies) for lf in self.lf_grid]
 
 
 @dataclass(frozen=True)
@@ -209,17 +206,21 @@ def _fmt(value: float | None) -> str:
     return _NA if value is None else f"{value:.6f}"
 
 
-def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
+def _csv_text(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    for r in rows:
-        writer.writerow([
-            r.policy, r.knob_name, _fmt(r.knob_value), _fmt(r.load_factor),
-            _fmt(r.effort_avg), _fmt(r.expiry_avg), _fmt(r.completion_avg),
-            _fmt(r.effort_pct_of_me), _fmt(r.completion_pct_of_me),
-        ])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
+    return _csv_text(SWEEP_HEADER, (
+        [r.policy, r.knob_name, _fmt(r.knob_value), _fmt(r.load_factor),
+         _fmt(r.effort_avg), _fmt(r.expiry_avg), _fmt(r.completion_avg),
+         _fmt(r.effort_pct_of_me), _fmt(r.completion_pct_of_me)]
+        for r in rows
+    ))
 
 
 def parse_sweep_csv(text: str) -> list[SweepRow]:
@@ -304,24 +305,16 @@ def aggregate_report(rows: Sequence[SweepRow]) -> list[ReportRow]:
 
 
 def report_rows_to_csv(rows: Sequence[ReportRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_HEADER)
-    for r in rows:
-        writer.writerow([
-            r.policy, _fmt(r.mean_expiry_avg), _fmt(r.mean_effort_pct_of_me),
-            _fmt(r.mean_completion_pct_of_me), _fmt(r.superlinearity_ratio), r.region,
-        ])
-    return buf.getvalue()
+    return _csv_text(REPORT_HEADER, (
+        [r.policy, _fmt(r.mean_expiry_avg), _fmt(r.mean_effort_pct_of_me),
+         _fmt(r.mean_completion_pct_of_me), _fmt(r.superlinearity_ratio), r.region]
+        for r in rows
+    ))
 
 
 def per_slot_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PER_SLOT_HEADER)
-    for r in reports:
-        writer.writerow([
-            r.slot, r.arrivals, r.completions, r.expired, r.pending_total,
-            f"{r.lyapunov:.6f}", f"{r.drift_lhs:.6f}", f"{r.drift_rhs:.6f}",
-        ])
-    return buf.getvalue()
+    return _csv_text(PER_SLOT_HEADER, (
+        [r.slot, r.arrivals, r.completions, r.expired, r.pending_total,
+         f"{r.lyapunov:.6f}", f"{r.drift_lhs:.6f}", f"{r.drift_rhs:.6f}"]
+        for r in reports
+    ))

@@ -20,8 +20,8 @@ class WorkerProfile:
     mu_max: int
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"worker id must be non-negative, got {self.id}")
+        if not 0 <= self.id < 2**63:
+            raise ValueError(f"worker id must be in [0, 2**63), got {self.id}")
         if not 0.0 <= self.reputation <= 1.0:
             raise ValueError(
                 f"reputation must be in [0, 1], got {self.reputation}"

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from workrest import PopulationSpec, generate
+from workrest import PopulationSpec, engine, generate
 from workrest.delegation import apportion
 from workrest.sweep import SweepSpec, aggregate_report, run_sweep
 
@@ -35,6 +35,40 @@ def lossy_apportion(w_req, weights, ids):
     lam = apportion(w_req, weights, ids)
     lam[np.argmax(lam)] -= 1
     return lam
+
+
+def traced_run(config, population, **kw):
+    """``engine.run`` plus its per-worker arrays, one (slots, n) array per key.
+
+    The arrays are recorded through the per-slot callables the engine looks
+    up by name: ``decide`` sees the observed backlog, moods and efforts, and
+    ``drift_bound_sides`` the arrivals, completions, conceptual increments
+    and outgoing queues. Expiries are exact from phase 6's definition
+    ``q_next = q + lam - mu - expired``. Returns ``(result, trace)``.
+    """
+    trace: dict[str, list] = {}
+
+    def record(**arrays):
+        for key, value in arrays.items():
+            trace.setdefault(key, []).append(np.array(value, copy=True))
+
+    decide, sides = engine.decide, engine.drift_bound_sides
+
+    def traced_decide(params, q_hat, Q, m, mu_max, **kw):
+        xi, mu = decide(params, q_hat, Q, m, mu_max, **kw)
+        record(q_hat=q_hat, mood=m, effort=xi)
+        return xi, mu
+
+    def traced_sides(q, Q, lam, mu, x, q_next, Q_next, *bounds):
+        record(lam=lam, mu=mu, x=x, q_end=q_next, Q_end=Q_next, expired=q + lam - mu - q_next)
+        return sides(q, Q, lam, mu, x, q_next, Q_next, *bounds)
+
+    engine.decide, engine.drift_bound_sides = traced_decide, traced_sides
+    try:
+        result = engine.run(config, population, **kw)
+    finally:
+        engine.decide, engine.drift_bound_sides = decide, sides
+    return result, {key: np.array(arrays) for key, arrays in trace.items()}
 
 
 @dataclass

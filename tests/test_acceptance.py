@@ -9,7 +9,7 @@ conftest.desk).
 
 import numpy as np
 
-from conftest import DESK_SEED, DESK_SLOTS
+from conftest import DESK_SEED, DESK_SLOTS, traced_run
 
 from workrest.cli import main as cli_main
 from workrest.engine import SimConfig, run
@@ -177,12 +177,12 @@ def test_criterion_08_fifo_count_oracle_without_deadline():
             seed=int(rng.integers(0, 2**32)),
             deadline=None,
         )
-        res = run(config, population, keep_reports=False, record_worker_trace=True)
+        res, trace = traced_run(config, population, keep_reports=False)
         assert res.expired_total == 0
         q = np.zeros(n, dtype=np.int64)
         for t in range(config.slots):
-            q = np.maximum(0, q + res.trace["lam"][t] - res.trace["mu"][t])
-            assert (res.trace["q_end"][t] == q).all(), (kind, t)
+            q = np.maximum(0, q + trace["lam"][t] - trace["mu"][t])
+            assert (trace["q_end"][t] == q).all(), (kind, t)
         runs += 1
     _verdict(
         8, runs == 100,
@@ -232,15 +232,13 @@ def test_criterion_10_unit_examples():
     config = SimConfig(
         slots=2, load_factor=0.5, policy=PolicyParams(kind="cpl", phi=5.0)
     )
-    res = run(
-        config, pop, mood_source=lambda t, ids: np.full(len(ids), 0.5), record_worker_trace=True
-    )
+    res, trace = traced_run(config, pop, mood_source=lambda t, ids: np.full(len(ids), 0.5))
     slot0, slot1 = res.reports
     trace_ok = (
         slot0.arrivals == 2 and slot0.completions == 0
-        and res.trace["Q_end"][0][0] == 4
-        and res.trace["effort"][1][0] == 1.0 and res.trace["mu"][1][0] == 2
-        and res.trace["q_end"][1][0] == 2 and res.trace["Q_end"][1][0] == 2
+        and trace["Q_end"][0][0] == 4
+        and trace["effort"][1][0] == 1.0 and trace["mu"][1][0] == 2
+        and trace["q_end"][1][0] == 2 and trace["Q_end"][1][0] == 2
     )
     _verdict(
         10, trace_ok,

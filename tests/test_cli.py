@@ -9,7 +9,15 @@ from conftest import desk_sweep_spec, lossy_apportion
 from workrest import cli, engine
 from workrest.cli import main
 from workrest.population import Distribution, PopulationSpec, generate, load_csv
-from workrest.sweep import SWEEP_HEADER, SweepSpec, run_sweep, sweep_rows_to_csv
+from workrest.sweep import (
+    SWEEP_HEADER,
+    SweepSpec,
+    aggregate_report,
+    parse_sweep_csv,
+    report_rows_to_csv,
+    run_sweep,
+    sweep_rows_to_csv,
+)
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -261,9 +269,15 @@ class TestSimulate:
         ("simulate", {"slots": 5.5}, "argument --slots"),
         ("simulate", {"seed": 1.5}, "argument --seed"),
         ("sweep", {"jobs": 1.5}, "argument --jobs"),
-        ("simulate", {"slots": [5, 6]}, "argument --slots"),
+        ("simulate", {"slots": [5, 6]}, "config.json: config key 'slots' cannot be [5, 6]"),
+        ("simulate", {"slots": [5]}, "config.json: config key 'slots' cannot be [5]"),
+        ("simulate", {"out": {"k": 1}}, 'config.json: config key \'out\' cannot be {"k": 1}'),
+        ("simulate", {"out": ["x", "y"]}, 'config.json: config key \'out\' cannot be ["x", "y"]'),
+        ("simulate", {"out": True}, "config.json: config key 'out' cannot be true"),
+        ("sweep", {"lf_grid": False}, "config.json: config key 'lf_grid' cannot be false"),
     ], ids=["unknown-key", "deadline-float", "slots-float", "seed-float", "jobs-float",
-            "slots-list"])
+            "slots-list", "slots-one-item-list", "out-object", "out-list", "out-bool",
+            "grid-bool"])
     def test_unknown_config_key_is_usage_error(
         self, tmp_path, workers_csv, capsys, command, values, named
     ):
@@ -402,6 +416,10 @@ class TestUsageErrors:
         "workers-bad-reputation": ({"w.csv": HEADER + "0,abc,3\n"},
                                    [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
                                    ["w.csv:2: malformed row ['0', 'abc', '3']"]),
+        "workers-id-beyond-int64": ({"w.csv": HEADER + "0,0.5,3\n9223372036854775808,0.5,3\n"},
+                                    [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
+                                    ["w.csv:3: worker id must be in [0, 2**63), "
+                                     "got 9223372036854775808"]),
         "report-short-row": ({"s.csv": ",".join(SWEEP_HEADER) + "\n\nme,none,0.0\n"},
                              ["report", "{tmp}/s.csv"], ["bad sweep row ['me', 'none', '0.0']"]),
     }
@@ -427,6 +445,13 @@ class TestExperimentConfigs:
         assert cli._sweep_spec(args) == desk_sweep_spec()
         assert (args.gen_n, args.workers) == (500, None)
 
+    def test_desk_fixture_reproduces_the_committed_results(self, desk):
+        # the grid order and the CSV writers, byte for byte
+        sweep_csv = (RESULTS / "desk_sweep.csv").read_bytes()
+        assert sweep_rows_to_csv(desk.rows).encode() == sweep_csv
+        report = report_rows_to_csv(aggregate_report(parse_sweep_csv(sweep_csv.decode())))
+        assert report.encode() == (RESULTS / "desk_report.csv").read_bytes()
+
     @pytest.mark.parametrize("name", ["desk", "scaled"])
     def test_config_sweep_equals_run_sweep(self, tmp_path, capsys, name):
         out = tmp_path / "sweep.csv"
@@ -439,7 +464,7 @@ class TestExperimentConfigs:
                 "--out", str(workers),
             ) == 0
             argv += ["--workers", str(workers)]
-            spec = PopulationSpec(count=500, mu_max_dist=Distribution.uniform(4, 40), seed=7)
+            spec = PopulationSpec(count=500, mu_max_dist=Distribution(4, 40), seed=7)
         else:
             spec = PopulationSpec(count=500, seed=7)
         assert run_cli(*argv) == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import lossy_apportion
+from conftest import lossy_apportion, traced_run
 from oracle import TaskCohort, WorkerState, mood_sample, to_worker_states
 from shadow import ShadowSim
 from workrest import engine
@@ -36,30 +36,31 @@ class TestHandTrace:
     """Two-slot trace: one worker, capacity 4, half workload, mood 0.5."""
 
     @pytest.fixture()
-    def result(self):
-        return run(
-            cpl_config(), single_worker(),
-            mood_source=lambda t, ids: np.full(len(ids), 0.5), record_worker_trace=True,
+    def traced(self):
+        return traced_run(
+            cpl_config(), single_worker(), mood_source=lambda t, ids: np.full(len(ids), 0.5),
         )
 
-    def test_slot0_rests_and_builds_pressure(self, result):
+    def test_slot0_rests_and_builds_pressure(self, traced):
+        result, trace = traced
         r0 = result.reports[0]
         assert (r0.arrivals, r0.completions, r0.expired) == (2, 0, 0)
         assert r0.pending_total == 2
         assert r0.effort_sum == 0.0
-        assert result.trace["Q_end"][0][0] == 4
-        assert result.trace["q_end"][0][0] == 2
+        assert trace["Q_end"][0][0] == 4
+        assert trace["q_end"][0][0] == 2
 
-    def test_slot1_works_at_full_effort(self, result):
+    def test_slot1_works_at_full_effort(self, traced):
+        result, trace = traced
         r1 = result.reports[1]
         assert (r1.arrivals, r1.completions) == (2, 2)
-        assert result.trace["effort"][1][0] == 1.0
-        assert result.trace["mu"][1][0] == 2
-        assert result.trace["q_end"][1][0] == 2
-        assert result.trace["Q_end"][1][0] == 2
+        assert trace["effort"][1][0] == 1.0
+        assert trace["mu"][1][0] == 2
+        assert trace["q_end"][1][0] == 2
+        assert trace["Q_end"][1][0] == 2
 
-    def test_slot0_drift_sides(self, result):
-        r0 = result.reports[0]
+    def test_slot0_drift_sides(self, traced):
+        r0 = traced[0].reports[0]
         assert r0.drift_lhs == 10.0
         assert r0.drift_rhs == 26.0
 
@@ -188,7 +189,7 @@ class TestEngineMatchesScalarOracle:
             slots=slots, load_factor=lf,
             policy=params, seed=seed, deadline=deadline,
         )
-        result = run(config, population, record_worker_trace=True)
+        result, trace = traced_run(config, population)
 
         ref = ShadowSim(
             population=population, policy=params, load_factor=lf,
@@ -202,14 +203,14 @@ class TestEngineMatchesScalarOracle:
             assert report.lyapunov == lyapunov
             assert report.drift_lhs == lyapunov - prev_lyapunov
             prev_lyapunov = lyapunov
-            assert result.trace["lam"][t].tolist() == slot.lam
-            assert result.trace["mood"][t].tolist() == slot.mood
-            assert result.trace["effort"][t].tolist() == slot.effort
-            assert result.trace["mu"][t].tolist() == slot.mu
-            assert result.trace["x"][t].tolist() == slot.x
-            assert result.trace["expired"][t].tolist() == slot.expired
-            assert result.trace["q_end"][t].tolist() == slot.q_end
-            assert result.trace["Q_end"][t].tolist() == slot.Q_end
+            assert trace["lam"][t].tolist() == slot.lam
+            assert trace["mood"][t].tolist() == slot.mood
+            assert trace["effort"][t].tolist() == slot.effort
+            assert trace["mu"][t].tolist() == slot.mu
+            assert trace["x"][t].tolist() == slot.x
+            assert trace["expired"][t].tolist() == slot.expired
+            assert trace["q_end"][t].tolist() == slot.q_end
+            assert trace["Q_end"][t].tolist() == slot.Q_end
             assert report.arrivals == slot.arrivals
             assert report.completions == slot.completions
             assert report.expired == slot.expired_total
@@ -299,13 +300,13 @@ class TestRunInvariants:
             slots=20, load_factor=1.0,
             policy=PolicyParams(kind="mt", theta1=1.0), seed=0,
         )
-        res = run(config, pop, record_worker_trace=True)
+        res, trace = traced_run(config, pop)
         for t, report in enumerate(res.reports):
-            assert np.count_nonzero(res.trace["q_hat"][t]) == 1
-            assert (res.trace["lam"][t][1], res.trace["mu"][t][1]) == (0, 0)
+            assert np.count_nonzero(trace["q_hat"][t]) == 1
+            assert (trace["lam"][t][1], trace["mu"][t][1]) == (0, 0)
             if report.expired:
                 # never works: from slot 2 on, the oldest cohort expires
-                q_hat = int(res.trace["q_hat"][t][0])
+                q_hat = int(trace["q_hat"][t][0])
                 assert report.expiry_ratio_sum == report.expired / q_hat
 
     def test_conservation_catches_a_lost_delegation_unit(self, monkeypatch):
@@ -374,12 +375,12 @@ class TestNoDeadline:
             slots=500, load_factor=0.9,
             policy=PolicyParams(kind="mt", theta1=0.7), seed=17, deadline=None,
         )
-        res = run(config, pop, record_worker_trace=True)
+        res, trace = traced_run(config, pop)
         assert res.expired_total == 0
         q = np.zeros(5, dtype=np.int64)
         for t in range(config.slots):
-            q = np.maximum(0, q + res.trace["lam"][t] - res.trace["mu"][t])
-            assert (res.trace["q_end"][t] == q).all()
+            q = np.maximum(0, q + trace["lam"][t] - trace["mu"][t])
+            assert (trace["q_end"][t] == q).all()
 
     @pytest.mark.parametrize("slots", [100, 2_000])
     def test_backlog_state_stays_one_column(self, slots):
@@ -447,12 +448,12 @@ class TestValidation:
 
     def test_inputs_just_inside_the_int64_bound_stay_exact(self):
         config, pop = self._piling_up(self.G_INSIDE)
-        res = run(config, pop, record_worker_trace=True)
+        res, trace = traced_run(config, pop)
         g = self.G_INSIDE
         q = Q = lyap2 = 0
         for t, report in enumerate(res.reports):
-            lam, mu, x = (int(res.trace[k][t][0]) for k in ("lam", "mu", "x"))
-            q_next, Q_next = int(res.trace["q_end"][t][0]), int(res.trace["Q_end"][t][0])
+            lam, mu, x = (int(trace[k][t][0]) for k in ("lam", "mu", "x"))
+            q_next, Q_next = int(trace["q_end"][t][0]), int(trace["Q_end"][t][0])
             assert (q_next, Q_next) == ((t + 1) * g, (t + 1) * g)
             next2 = q_next * q_next + Q_next * Q_next
             lambda_max = g  # the slot workload, round(1.0 * g)

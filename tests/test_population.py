@@ -115,7 +115,7 @@ class TestGenerate:
         with pytest.raises(ValueError):
             PopulationSpec(count=0)
         with pytest.raises(ValueError):
-            PopulationSpec(count=3, reputation_dist=Distribution.uniform(0.5, 1.5))
+            PopulationSpec(count=3, reputation_dist=Distribution(0.5, 1.5))
         with pytest.raises(ValueError):
             PopulationSpec(count=3, mu_max_dist=Distribution.constant(0))
         with pytest.raises(ValueError, match=r"out of order: \[5, 1\]"):
@@ -127,7 +127,7 @@ class TestGenerate:
                 PopulationSpec(count=3, mu_max_dist=Distribution(lo, hi))
 
     def test_capacity_bounds_at_the_limits(self):
-        spec = PopulationSpec(count=50, mu_max_dist=Distribution.uniform(1.0, 2.0**53), seed=9)
+        spec = PopulationSpec(count=50, mu_max_dist=Distribution(1.0, 2.0**53), seed=9)
         assert all(1 <= p.mu_max <= 2**53 for p in generate(spec))
         spec = PopulationSpec(count=3, mu_max_dist=Distribution.constant(2**53))
         assert [p.mu_max for p in generate(spec)] == [2**53] * 3

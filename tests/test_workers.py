@@ -30,6 +30,7 @@ class TestWorkerProfile:
         "kwargs",
         [
             dict(id=-1, reputation=0.5, mu_max=3),
+            dict(id=2**63, reputation=0.5, mu_max=3),
             dict(id=0, reputation=-0.1, mu_max=3),
             dict(id=0, reputation=1.5, mu_max=3),
             dict(id=0, reputation=0.5, mu_max=0),

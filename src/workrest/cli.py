@@ -18,7 +18,9 @@ read as a comma list.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 from .engine import SimConfig, SimulationError, run
@@ -37,8 +39,9 @@ from .sweep import (
 )
 
 
-# The SweepSpec grids that ``sweep`` takes as flags (``--phi-grid`` ...).
-_GRIDS = ("phi_grid", "sigma_grid", "theta1_grid", "theta2_grid", "lf_grid")
+# ``simulate``'s knob flags (``--phi`` ...) and ``sweep``'s SweepSpec grid flags.
+_KNOBS = tuple(name for name in KNOB_FIELDS.values() if name)
+_GRIDS = tuple(f.name for f in dataclasses.fields(SweepSpec) if f.name.endswith("_grid"))
 _LIST_KEYS = ("policies",) + _GRIDS
 
 
@@ -68,11 +71,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         if len(pieces) != 3:
             raise argparse.ArgumentTypeError(f"bad grid range {part!r}, expected start:stop:step")
         start, stop, step_ = pieces
+        if not all(map(math.isfinite, pieces)):
+            raise argparse.ArgumentTypeError(f"grid range {part!r} must be finite")
         if step_ <= 0:
             raise argparse.ArgumentTypeError(f"grid step must be positive in {part!r}")
         v = start
         while v <= stop + 1e-9:
             values.append(round(v, 10))
+            if v + step_ == v:
+                raise argparse.ArgumentTypeError(f"step {step_} does not advance {v} in {part!r}")
             v += step_
     if not values:
         raise argparse.ArgumentTypeError(f"empty grid {text!r}")
@@ -95,9 +102,9 @@ def _parse_dist(text: str) -> Distribution:
 def _config_defaults(args: argparse.Namespace) -> dict:
     """The ``--config`` file's values, keyed by flag destination.
 
-    Every value becomes a string, a list a comma list, so that argparse
-    passes it through the flag's own ``type=`` converter as it does any
-    string default.
+    A value is a string or a number (a list only for ``_LIST_KEYS``), and
+    becomes a string, a list a comma list, so that argparse passes it
+    through the flag's own ``type=`` converter as it does any string default.
     """
     with open(args.config, encoding="utf-8") as fh:
         file_values = json.load(fh)
@@ -108,11 +115,11 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         attr = key.replace("-", "_")
         if attr not in vars(args) or attr in ("command", "func", "config"):
             raise ValueError(f"{args.config}: unknown config key {key!r}")
-        if isinstance(value, (dict, bool)) or isinstance(value, list) and attr not in _LIST_KEYS:
+        if not (type(value) in (str, int, float) or isinstance(value, list) and attr in _LIST_KEYS):
             raise ValueError(f"{args.config}: config key {key!r} cannot be {json.dumps(value)}")
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
-        defaults[attr] = value if value is None else str(value)
+        defaults[attr] = str(value)
     return defaults
 
 
@@ -137,17 +144,9 @@ def _resolve_population(args: argparse.Namespace):
 
 
 def _build_policy(args: argparse.Namespace) -> PolicyParams:
-    knobs = {
-        name: getattr(args, name)
-        for name in KNOB_FIELDS.values()
-        if name and getattr(args, name) is not None
-    }
-    # PolicyParams checks the kind and its knob, and ignores other knobs.
-    policy = PolicyParams(kind=args.policy.lower(), **knobs)
-    for name in knobs:
-        if name != policy.knob_name:
-            raise ValueError(f"--{name} is not a knob of policy {policy.kind!r}")
-    return policy
+    """The policy of the knob flags that were given; ``PolicyParams`` checks them."""
+    knobs = {name: getattr(args, name) for name in _KNOBS if getattr(args, name) is not None}
+    return PolicyParams(args.policy.lower(), **knobs)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -263,7 +262,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sim = sub.add_parser("simulate", parents=[run_flags], help="run one configuration")
     sim.add_argument("--policy", help="me|mt|mw|ac|cpl (required)")
-    for knob in ("phi", "sigma", "theta1", "theta2"):
+    for knob in _KNOBS:
         sim.add_argument("--" + knob, type=float)
     sim.add_argument("--lf", type=float, help="load factor in (0,1] (required)")
     sim.add_argument("--out", help="summary CSV path (default: stdout)")

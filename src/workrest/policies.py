@@ -31,42 +31,37 @@ import numpy as np
 
 from .numerics import snap_floor_array
 
-# Policy kind -> the PolicyParams field it reads as its knob.
+# Policy kind -> the name of the one knob it reads, passed to PolicyParams.
 KNOB_FIELDS = {"me": None, "mt": "theta1", "mw": "theta2", "ac": "sigma", "cpl": "phi"}
 POLICY_KINDS = tuple(KNOB_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolicyParams:
-    """Policy identity plus the one control knob the kind consults."""
+    """A policy kind and the value of the one knob it reads (0.0 for ``me``),
+    passed by its name: ``PolicyParams("cpl", phi=50.0)``."""
 
     kind: str
-    phi: float | None = None
-    sigma: float | None = None
-    theta1: float | None = None
-    theta2: float | None = None
+    knob_value: float
 
-    def __post_init__(self) -> None:
-        if self.kind not in KNOB_FIELDS:
-            raise ValueError(
-                f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}"
-            )
-        knob = KNOB_FIELDS[self.kind]
-        value = None if knob is None else getattr(self, knob)
-        if knob in ("theta1", "theta2"):
+    def __init__(self, kind: str, **knob: float) -> None:
+        if kind not in KNOB_FIELDS:
+            raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+        name = KNOB_FIELDS[kind]
+        value = knob.pop(name, None)
+        if knob:
+            raise ValueError(f"{next(iter(knob))} is not a knob of policy {kind!r}")
+        if name in ("theta1", "theta2"):
             if value is None or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{self.kind} requires {knob} in [0, 1], got {value}")
-        elif knob is not None and (value is None or not value > 0):
-            raise ValueError(f"{self.kind} requires {knob} > 0, got {value}")
+                raise ValueError(f"{kind} requires {name} in [0, 1], got {value}")
+        elif name is not None and (value is None or not value > 0):
+            raise ValueError(f"{kind} requires {name} > 0, got {value}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "knob_value", 0.0 if name is None else value)
 
     @property
     def knob_name(self) -> str:
         return KNOB_FIELDS[self.kind] or "none"
-
-    @property
-    def knob_value(self) -> float:
-        knob = KNOB_FIELDS[self.kind]
-        return 0.0 if knob is None else getattr(self, knob)
 
     @property
     def gates(self) -> tuple[float, float, float, int]:

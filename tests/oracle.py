@@ -243,7 +243,7 @@ def _work(q: int, mood: float, mu_max: int) -> PolicyDecision:
 
 def decide_cpl(params: PolicyParams, q: int, Q: int, mood: float, mu_max: int) -> PolicyDecision:
     """Work iff the work-rest index is strictly negative."""
-    if compute_wri(params.phi, q, Q, mood, mu_max) < 0.0:
+    if compute_wri(params.knob_value, q, Q, mood, mu_max) < 0.0:
         return _work(q, mood, mu_max)
     return REST
 
@@ -276,9 +276,9 @@ def decide_ac(sigma: float, q: int, mood: float, mu_max: int) -> PolicyDecision:
 
 _RULES = {
     "me": lambda p, q, Q, mood, mu_max: decide_me(q, mood, mu_max),
-    "mt": lambda p, q, Q, mood, mu_max: decide_mt(p.theta1, q, mood, mu_max),
-    "mw": lambda p, q, Q, mood, mu_max: decide_mw(p.theta2, q, mood, mu_max),
-    "ac": lambda p, q, Q, mood, mu_max: decide_ac(p.sigma, q, mood, mu_max),
+    "mt": lambda p, q, Q, mood, mu_max: decide_mt(p.knob_value, q, mood, mu_max),
+    "mw": lambda p, q, Q, mood, mu_max: decide_mw(p.knob_value, q, mood, mu_max),
+    "ac": lambda p, q, Q, mood, mu_max: decide_ac(p.knob_value, q, mood, mu_max),
     "cpl": decide_cpl,
 }
 

@@ -275,9 +275,13 @@ class TestSimulate:
         ("simulate", {"out": ["x", "y"]}, 'config.json: config key \'out\' cannot be ["x", "y"]'),
         ("simulate", {"out": True}, "config.json: config key 'out' cannot be true"),
         ("sweep", {"lf_grid": False}, "config.json: config key 'lf_grid' cannot be false"),
+        ("simulate", {"slots": None}, "config.json: config key 'slots' cannot be null"),
+        ("simulate", {"seed": None}, "config.json: config key 'seed' cannot be null"),
+        ("simulate", {"deadline": None}, "config.json: config key 'deadline' cannot be null"),
+        ("sweep", {"jobs": None}, "config.json: config key 'jobs' cannot be null"),
     ], ids=["unknown-key", "deadline-float", "slots-float", "seed-float", "jobs-float",
             "slots-list", "slots-one-item-list", "out-object", "out-list", "out-bool",
-            "grid-bool"])
+            "grid-bool", "slots-null", "seed-null", "deadline-null", "jobs-null"])
     def test_unknown_config_key_is_usage_error(
         self, tmp_path, workers_csv, capsys, command, values, named
     ):
@@ -383,6 +387,7 @@ class TestSweepAndReport:
 SIMULATE_ME = ["simulate", "--policy", "me", "--lf", "0.5", "--slots", "5"]
 SWEEP_ME = ["sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "5", "--gen-n", "5"]
 HEADER = "worker_id,reputation,mu_max\n"
+RANGE_AT_2_53 = "9007199254740992:9007199254740994:1"  # from 2**53 on, v + 1 == v
 
 
 class TestUsageErrors:
@@ -396,8 +401,15 @@ class TestUsageErrors:
         "grid-step-zero": ({}, ["sweep", "--phi-grid", "5:1:0"],
                            ["argument --phi-grid", "grid step must be positive in '5:1:0'"]),
         "grid-empty": ({}, ["sweep", "--phi-grid", ","], ["argument --phi-grid", "empty grid ','"]),
+        "grid-range-to-inf": ({}, ["sweep", "--phi-grid", "0:inf:1"],
+                              ["argument --phi-grid", "grid range '0:inf:1' must be finite"]),
+        "grid-step-below-spacing": ({}, ["sweep", "--phi-grid", RANGE_AT_2_53],
+                                    ["argument --phi-grid", "step 1.0 does not advance "
+                                     f"9007199254740992.0 in '{RANGE_AT_2_53}'"]),
         "grid-not-a-number": ({}, ["sweep", "--lf-grid", "5:x:1"],
                               ["argument --lf-grid", "bad grid part '5:x:1'"]),
+        "knob-of-another-policy": ({}, [*SIMULATE_ME, "--gen-n", "5", "--phi", "5"],
+                                   ["phi is not a knob of policy 'me'"]),
         "jobs-zero": ({}, [*SWEEP_ME, "--jobs", "0"], ["jobs must be >= 1, got 0"]),
         "jobs-negative": ({}, [*SWEEP_ME, "--jobs", "-3"], ["jobs must be >= 1, got -3"]),
         "dist-kind": ({}, ["gen-workers", "--n", "3", "--rep-dist", "beta:1,2", "--out", "{tmp}/w"],

@@ -13,6 +13,7 @@ from workrest import engine
 from workrest.engine import (
     CounterMoods,
     SimConfig,
+    SimState,
     SimulationError,
     _consume_oldest_first,
     drift_bound_sides,
@@ -469,6 +470,34 @@ class TestValidation:
         config, pop = self._piling_up(self.G_INSIDE + 1)
         with pytest.raises(ValueError, match=r"int64 drift sums may reach \d+, beyond 2\*\*63"):
             run(config, pop)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        caps=st.lists(st.one_of(st.integers(1, 2**32), st.integers(2**52, 2**53)),
+                      min_size=1, max_size=3),
+        lf=st.floats(0.0, 1.0, exclude_min=True),
+        slots=st.integers(1, 6),
+        deadline=st.sampled_from([1, 3, None]),
+        policy=st.sampled_from([PolicyParams("me"), PolicyParams("ac", sigma=1e30)]),
+    )
+    def test_inputs_near_the_exactness_bounds_are_rejected_or_exact(
+        self, caps, lf, slots, deadline, policy
+    ):
+        # ``ac`` at sigma = 1e30 always rests, so its queues pile up.
+        pop = [WorkerProfile(id=i, reputation=1.0, mu_max=m) for i, m in enumerate(caps)]
+        config = SimConfig(slots=slots, load_factor=lf, policy=policy, deadline=deadline)
+        try:
+            SimState.from_population(pop, config)
+        except ValueError as exc:
+            assert "2**53" in str(exc) or "2**63" in str(exc), exc
+            return
+        res, trace = traced_run(config, pop)
+        assert res.drift_violations == 0 and res.conserves_tasks()
+        lyap2 = 0
+        for t, report in enumerate(res.reports):
+            next2 = sum(int(v) ** 2 for k in ("q_end", "Q_end") for v in trace[k][t])
+            assert (report.lyapunov, report.drift_lhs) == (next2 / 2.0, (next2 - lyap2) / 2.0)
+            lyap2 = next2
 
     def test_overcompletion_aborts(self, monkeypatch):
         # the policy layer cannot produce mu > backlog, so fake a buggy one

@@ -57,6 +57,8 @@ class TestParams:
         assert PolicyParams(kind="me").knob_name == "none"
         assert cpl(5.0).knob_name == "phi"
         assert cpl(5.0).knob_value == 5.0
+        assert PolicyParams(kind="me").knob_value == 0.0
+        assert repr(cpl(50.0)) == "PolicyParams(kind='cpl', knob_value=50.0)"
 
     def test_gate_values(self):
         inf = math.inf
@@ -65,10 +67,9 @@ class TestParams:
         assert PolicyParams(kind="mw", theta2=0.4).gates == (0.0, 0.4, -inf, 0)
         assert PolicyParams(kind="ac", sigma=7.0).gates == (0.0, 0.0, 7.0, 0)
         assert cpl(9.0).gates == (0.0, 0.0, 9.0, 1)
-        # a field the kind does not read leaves its gate neutral
-        assert PolicyParams(kind="mt", theta1=0.3, theta2=0.9, phi=4.0).gates == (
-            0.3, 0.0, -inf, 0,
-        )
+        # a knob the kind does not read is rejected
+        with pytest.raises(ValueError, match="is not a knob of policy"):
+            PolicyParams(kind="mt", theta1=0.3, theta2=0.9, phi=4.0)
 
 
 class TestWri:

@@ -3,23 +3,20 @@
 Subcommands: ``gen-workers`` (synthetic worker CSV), ``simulate`` (one
 run), ``sweep`` (full policy/knob/load-factor grid) and ``report``
 (per-policy aggregates of a sweep). Exit codes: 0 success, 1 I/O
-failure, 2 usage or validation error, 3 a failed invariant. ``simulate``
-and ``sweep`` also print one health line to stderr: drift-bound
-violations per slot, the stability inequality and task conservation over
-every run; any failure there exits 3 too.
+failure or out of memory, 2 usage or validation error, 3 a failed
+invariant. ``simulate`` and ``sweep`` also print one health line to
+stderr: drift-bound violations per slot, the stability inequality and
+task conservation over every run; any failure there exits 3 too.
 
-``simulate`` and ``sweep`` also accept ``--config FILE`` with a JSON
-object whose keys mirror the long flag names (underscored). The file's
-values become the subcommand's defaults, so any flag given on the command
-line wins over them. Only ``policies`` and the grid keys take a list,
-read as a comma list.
+An argument ``@FILE`` stands for the file's lines, one argument each
+(``--phi-grid=5,25,50,100``), so a settings file is part of the command
+line: a flag after it wins over the file, and one before it loses.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 
@@ -27,6 +24,7 @@ from .engine import SimConfig, SimulationError, run
 from .policies import KNOB_FIELDS, PolicyParams
 from .population import Distribution, PopulationSpec, generate, load_csv, write_csv
 from .sweep import (
+    MAX_GRID_POINTS,
     PointDiagnostics,
     SweepRow,
     SweepSpec,
@@ -42,7 +40,6 @@ from .sweep import (
 # ``simulate``'s knob flags (``--phi`` ...) and ``sweep``'s SweepSpec grid flags.
 _KNOBS = tuple(name for name in KNOB_FIELDS.values() if name)
 _GRIDS = tuple(f.name for f in dataclasses.fields(SweepSpec) if f.name.endswith("_grid"))
-_LIST_KEYS = ("policies",) + _GRIDS
 
 
 def _parse_deadline(text: str) -> int | None:
@@ -75,6 +72,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(f"grid range {part!r} must be finite")
         if step_ <= 0:
             raise argparse.ArgumentTypeError(f"grid step must be positive in {part!r}")
+        if len(values) + (stop - start) / step_ >= MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"grid range {part!r} takes the grid past {MAX_GRID_POINTS} values")
         v = start
         while v <= stop + 1e-9:
             values.append(round(v, 10))
@@ -97,40 +97,6 @@ def _parse_dist(text: str) -> Distribution:
     except ValueError as exc:
         raise ValueError(f"bad distribution {text!r}: {exc}") from None
     raise ValueError(f"bad distribution {text!r}, expected const:V or uniform:LO,HI")
-
-
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The ``--config`` file's values, keyed by flag destination.
-
-    A value is a string or a number (a list only for ``_LIST_KEYS``), and
-    becomes a string, a list a comma list, so that argparse passes it
-    through the flag's own ``type=`` converter as it does any string default.
-    """
-    with open(args.config, encoding="utf-8") as fh:
-        file_values = json.load(fh)
-    if not isinstance(file_values, dict):
-        raise ValueError(f"{args.config}: config must be a JSON object")
-    defaults = {}
-    for key, value in file_values.items():
-        attr = key.replace("-", "_")
-        if attr not in vars(args) or attr in ("command", "func", "config"):
-            raise ValueError(f"{args.config}: unknown config key {key!r}")
-        if not (type(value) in (str, int, float) or isinstance(value, list) and attr in _LIST_KEYS):
-            raise ValueError(f"{args.config}: config key {key!r} cannot be {json.dumps(value)}")
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        defaults[attr] = str(value)
-    return defaults
-
-
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse ``argv``; a ``--config`` file supplies the subcommand's defaults."""
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        commands[args.command].set_defaults(**_config_defaults(args))
-        args = parser.parse_args(argv)
-    return args
 
 
 def _resolve_population(args: argparse.Namespace):
@@ -183,9 +149,6 @@ def cmd_gen_workers(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    for name in ("policy", "lf"):
-        if getattr(args, name) is None:
-            raise ValueError(f"simulate requires --{name} (or {name!r} in --config)")
     policy = _build_policy(args)
     population = _resolve_population(args)
     config = SimConfig(
@@ -231,15 +194,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and the subcommand parsers that take ``--config``."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workrest",
         description="Work-rest scheduling simulator and experiment harness.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # simulate's and sweep's shared flags, built per call: subparsers share a
-    # parent's actions, and parse_args sets the --config defaults on them.
+    # simulate's and sweep's shared flags.
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument("--slots", type=int, default=10_000)
     run_flags.add_argument("--seed", type=int, default=0)
@@ -247,7 +209,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                            help="task deadline in slots, or 'inf' (default: 3)")
     run_flags.add_argument("--workers", help="worker CSV path")
     run_flags.add_argument("--gen-n", type=int, help="synthetic population size")
-    run_flags.add_argument("--config", help="JSON file with defaults for these flags")
 
     gen = sub.add_parser("gen-workers", help="write a synthetic worker CSV")
     gen.add_argument("--n", type=int, required=True, help="population size")
@@ -261,10 +222,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     gen.set_defaults(func=cmd_gen_workers)
 
     sim = sub.add_parser("simulate", parents=[run_flags], help="run one configuration")
-    sim.add_argument("--policy", help="me|mt|mw|ac|cpl (required)")
+    sim.add_argument("--policy", required=True, help="me|mt|mw|ac|cpl")
     for knob in _KNOBS:
         sim.add_argument("--" + knob, type=float)
-    sim.add_argument("--lf", type=float, help="load factor in (0,1] (required)")
+    sim.add_argument("--lf", type=float, required=True, help="load factor in (0,1]")
     sim.add_argument("--out", help="summary CSV path (default: stdout)")
     sim.add_argument("--per-slot", help="optional per-slot dump CSV path")
     sim.set_defaults(func=cmd_simulate)
@@ -284,12 +245,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     rep.add_argument("--out", help="report CSV path (default: stdout)")
     rep.set_defaults(func=cmd_report)
 
-    return parser, {"simulate": sim, "sweep": swp}
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -297,8 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -35,6 +35,9 @@ PER_SLOT_HEADER = [
 ]
 
 _NA = "NA"
+# The most points in a sweep, and values in one grid: a bound on what
+# expanding a grid allocates before any point runs.
+MAX_GRID_POINTS = 100_000
 _INDEX_GRID = tuple(float(v) for v in range(5, 101, 5))
 _UNIT_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
@@ -62,6 +65,11 @@ class SweepSpec:
                 raise ValueError(f"policy {kind!r} selected but its knob grid is empty")
         if not self.lf_grid:
             raise ValueError("lf_grid must be non-empty")
+        knob_values = sum(len(getattr(self, f"{knob}_grid"))
+                          for kind, knob in KNOB_FIELDS.items() if knob and kind in self.policies)
+        points = (1 + knob_values) * len(self.lf_grid)
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
         # Every grid value, selected or not, must make a valid point: the
         # ranges are PolicyParams' and SimConfig's own checks.
         self._knob_params(POLICY_KINDS)

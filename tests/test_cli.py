@@ -1,5 +1,5 @@
 import dataclasses
-import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,12 @@ def run_cli(*argv):
         return main(list(argv))
     except SystemExit as exc:
         return exc.code
+
+
+def write_args(path, *lines):
+    """An argument file: one argument per line, read by ``workrest @path``."""
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return "@" + str(path)
 
 
 def write_workers(path, rows):
@@ -213,86 +219,80 @@ class TestSimulate:
         assert code == 0
 
     def test_config_file_with_flag_override(self, tmp_path, workers_csv):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "policy": "cpl", "phi": 5.0, "lf": 0.5, "slots": 30,
-            "workers": workers_csv, "seed": 9,
-        }))
+        config = write_args(
+            tmp_path / "run.args", "--policy=cpl", "--phi=5.0", "--lf=0.5", "--slots=30",
+            f"--workers={workers_csv}", "--seed=9",
+        )
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        # flags override the file: run once at phi=5 via file, once at phi=50
+        # the file alone can supply the policy and the load factor
         assert run_cli(
             "simulate", "--policy", "cpl", "--lf", "0.5", "--phi", "5",
             "--slots", "30", "--seed", "9", "--workers", workers_csv,
             "--out", str(a),
         ) == 0
-        assert run_cli(
-            "simulate", "--config", str(config), "--policy", "cpl", "--lf", "0.5",
-            "--out", str(b),
-        ) == 0
-        assert a.read_text().split(",")[:8] == b.read_text().split(",")[:8]
-
-        # a flag given on the command line wins even when it equals the
-        # parser default: 10,000 slots, not the file's 5
-        config.write_text(json.dumps({
-            "policy": "me", "lf": 0.5, "slots": 5, "workers": workers_csv,
-        }))
-        per_slot = tmp_path / "slots.csv"
-        assert run_cli(
-            "simulate", "--config", str(config), "--slots", "10000",
-            "--out", str(b), "--per-slot", str(per_slot),
-        ) == 0
-        assert len(per_slot.read_text().splitlines()) == 1 + 10_000
-
-        # the file alone can supply the policy and the load factor
-        config.write_text(json.dumps({
-            "policy": "cpl", "phi": 5.0, "lf": 0.5, "slots": 30,
-            "workers": workers_csv, "seed": 9,
-        }))
-        assert run_cli("simulate", "--config", str(config), "--out", str(b)) == 0
+        assert run_cli("simulate", config, "--out", str(b)) == 0
         assert a.read_text() == b.read_text()
+
+        # a flag after the file wins even when it equals the parser
+        # default: 10,000 slots, not the file's 5; one before it loses
+        config = write_args(
+            tmp_path / "run.args", "--policy=me", "--lf=0.5", "--slots=5",
+            f"--workers={workers_csv}",
+        )
+        per_slot = tmp_path / "slots.csv"
+        for argv, slots in (([config, "--slots", "10000"], 10_000),
+                            (["--slots", "10000", config], 5)):
+            assert run_cli("simulate", *argv, "--out", str(b), "--per-slot", str(per_slot)) == 0
+            assert len(per_slot.read_text().splitlines()) == 1 + slots
 
     @pytest.mark.parametrize("missing", ["policy", "lf"])
     def test_missing_policy_or_load_factor_is_usage_error(
         self, tmp_path, workers_csv, capsys, missing
     ):
-        config = tmp_path / "config.json"
-        values = {"policy": "me", "lf": 0.5, "slots": 5, "workers": workers_csv}
+        values = {"policy": "me", "lf": "0.5", "slots": "5", "workers": workers_csv}
         del values[missing]
-        config.write_text(json.dumps(values))
-        assert run_cli("simulate", "--config", str(config)) == 2
-        assert f"simulate requires --{missing}" in capsys.readouterr().err
+        config = write_args(tmp_path / "run.args", *(f"--{k}={v}" for k, v in values.items()))
+        assert run_cli("simulate", config) == 2
+        assert f"the following arguments are required: --{missing}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,values,named", [
-        ("simulate", {"nonsense": 1}, "unknown config key 'nonsense'"),
-        ("simulate", {"deadline": 3.5}, "argument --deadline"),
-        ("simulate", {"slots": 5.5}, "argument --slots"),
-        ("simulate", {"seed": 1.5}, "argument --seed"),
-        ("sweep", {"jobs": 1.5}, "argument --jobs"),
-        ("simulate", {"slots": [5, 6]}, "config.json: config key 'slots' cannot be [5, 6]"),
-        ("simulate", {"slots": [5]}, "config.json: config key 'slots' cannot be [5]"),
-        ("simulate", {"out": {"k": 1}}, 'config.json: config key \'out\' cannot be {"k": 1}'),
-        ("simulate", {"out": ["x", "y"]}, 'config.json: config key \'out\' cannot be ["x", "y"]'),
-        ("simulate", {"out": True}, "config.json: config key 'out' cannot be true"),
-        ("sweep", {"lf_grid": False}, "config.json: config key 'lf_grid' cannot be false"),
-        ("simulate", {"slots": None}, "config.json: config key 'slots' cannot be null"),
-        ("simulate", {"seed": None}, "config.json: config key 'seed' cannot be null"),
-        ("simulate", {"deadline": None}, "config.json: config key 'deadline' cannot be null"),
-        ("sweep", {"jobs": None}, "config.json: config key 'jobs' cannot be null"),
+    @pytest.mark.parametrize("command,line,named", [
+        ("simulate", "--nonsense=1", "unrecognized arguments: --nonsense=1"),
+        ("simulate", "--deadline=3.5", "argument --deadline"),
+        ("simulate", "--slots=5.5", "argument --slots: invalid int value: '5.5'"),
+        ("simulate", "--seed=1.5", "argument --seed"),
+        ("sweep", "--jobs=1.5", "argument --jobs"),
+        ("simulate", "--slots=5,6", "argument --slots: invalid int value: '5,6'"),
+        # a flag left without a value, the file's null
+        ("simulate", "--slots=", "argument --slots: invalid int value: ''"),
+        ("simulate", "--seed=", "argument --seed: invalid int value: ''"),
+        ("simulate", "--deadline=", "argument --deadline: expected whole slots or 'inf', got ''"),
+        ("sweep", "--jobs=", "argument --jobs: invalid int value: ''"),
     ], ids=["unknown-key", "deadline-float", "slots-float", "seed-float", "jobs-float",
-            "slots-list", "slots-one-item-list", "out-object", "out-list", "out-bool",
-            "grid-bool", "slots-null", "seed-null", "deadline-null", "jobs-null"])
+            "slots-list", "slots-null", "seed-null", "deadline-null", "jobs-null"])
     def test_unknown_config_key_is_usage_error(
-        self, tmp_path, workers_csv, capsys, command, values, named
+        self, tmp_path, workers_csv, capsys, command, line, named
     ):
-        # a value of the wrong JSON type fails the flag's own converter
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"slots": 3, **values}))
+        # every value in the file goes through its flag's own converter
+        config = write_args(tmp_path / "run.args", "--slots=3", line)
         flags = ["--policy", "me", "--lf", "0.5"] if command == "simulate" else [
             "--policies", "me", "--lf-grid", "0.5"]
-        code = run_cli(command, "--config", str(config), *flags, "--workers", workers_csv)
+        code = run_cli(command, config, *flags, "--workers", workers_csv)
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error,message", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "Unable to allocate 74.5 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_an_error_line(self, monkeypatch, capsys, error, message):
+        def generate_too_much(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "generate", generate_too_much)
+        assert run_cli("simulate", "--policy", "me", "--lf", "0.5", "--gen-n", "5") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("rows,flags,bound", [
         ([(1.0, 10**17), (1.0, 7 * 10**16)], ["me", "--lf", "0.9", "--slots", "5"], "2**53"),
@@ -346,7 +346,20 @@ class TestSweepAndReport:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 1 + 3
-        assert cli.parse_args(["sweep", "--phi-grid", "5,,25"]).phi_grid == (5.0, 25.0)
+        assert cli.build_parser().parse_args(["sweep", "--phi-grid", "5,,25"]).phi_grid == (
+            5.0, 25.0)
+
+    @pytest.mark.parametrize("grids,named", [
+        (["--phi-grid", "1:1e12:1"],
+         "argument --phi-grid: grid range '1:1e12:1' takes the grid past 100000 values"),
+        (["--phi-grid", "1:1000:1", "--lf-grid", "0.0001:1:0.0001"],
+         "error: the grid has 10610000 points, more than 100000"),
+    ], ids=["one-range", "grid-product"])
+    def test_oversized_grid_rejected_before_it_is_built(self, capsys, grids, named):
+        start = time.perf_counter()
+        assert run_cli("sweep", *grids, "--gen-n", "5") == 2
+        assert time.perf_counter() - start < 1.0
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_point_validation_error_is_usage_error(self, tmp_path, capsys, jobs):
@@ -391,7 +404,7 @@ RANGE_AT_2_53 = "9007199254740992:9007199254740994:1"  # from 2**53 on, v + 1 ==
 
 
 class TestUsageErrors:
-    """Malformed flags, config files and input files exit 2 with a message
+    """Malformed flags, argument files and input files exit 2 with a message
     that names what is wrong. ``{tmp}`` in an argument is the test's
     directory, where ``files`` are written first."""
 
@@ -416,8 +429,11 @@ class TestUsageErrors:
                       ["bad distribution 'beta:1,2', expected const:V or uniform:LO,HI"]),
         "dist-one-bound": ({}, ["gen-workers", "--n", "3", "--rep-dist", "uniform:1", "--out",
                                 "{tmp}/w"], ["bad distribution 'uniform:1': "]),
-        "config-not-object": ({"c.json": "[1, 2]"}, ["simulate", "--config", "{tmp}/c.json"],
-                              ["c.json: config must be a JSON object"]),
+        "args-file-missing": ({}, ["simulate", "@{tmp}/absent.args"],
+                              ["No such file or directory", "absent.args"]),
+        "args-file-blank-line": ({"run.args": "--policy=me\n\n--lf=0.5\n"},
+                                 ["simulate", "@{tmp}/run.args", "--gen-n", "5"],
+                                 ["unrecognized arguments: "]),
         "workers-and-gen-n": ({}, [*SIMULATE_ME, "--workers", "{tmp}/w.csv", "--gen-n", "5"],
                               ["give either --workers or --gen-n, not both"]),
         "workers-empty": ({"w.csv": ""}, [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
@@ -446,14 +462,15 @@ class TestUsageErrors:
 
 
 class TestExperimentConfigs:
-    """The committed ``results/*.json`` sweep configs reproduce the experiments."""
+    """The committed ``results/*.args`` argument files reproduce the experiments."""
 
     def test_no_grid_flags_resolve_to_the_default_grid(self):
-        args = cli.parse_args(["sweep", "--slots", "40", "--seed", "3", "--deadline", "inf"])
+        args = cli.build_parser().parse_args(
+            ["sweep", "--slots", "40", "--seed", "3", "--deadline", "inf"])
         assert cli._sweep_spec(args) == SweepSpec(slots=40, seed=3, deadline=None)
 
     def test_desk_config_resolves_to_the_acceptance_grid(self):
-        args = cli.parse_args(["sweep", "--config", str(RESULTS / "desk.json")])
+        args = cli.build_parser().parse_args(["sweep", f"@{RESULTS / 'desk.args'}"])
         assert cli._sweep_spec(args) == desk_sweep_spec()
         assert (args.gen_n, args.workers) == (500, None)
 
@@ -467,7 +484,7 @@ class TestExperimentConfigs:
     @pytest.mark.parametrize("name", ["desk", "scaled"])
     def test_config_sweep_equals_run_sweep(self, tmp_path, capsys, name):
         out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--config", str(RESULTS / f"{name}.json"), "--slots", "3",
+        argv = ["sweep", f"@{RESULTS / name}.args", "--slots", "3",
                 "--out", str(out)]
         if name == "scaled":
             workers = tmp_path / "workers.csv"

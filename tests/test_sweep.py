@@ -113,6 +113,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="deadline must be >= 1"):
             SweepSpec(deadline=0)
 
+    def test_grid_size_is_bounded(self):
+        # (1 ME row + the selected knob values) per load factor
+        lf_grid = tuple(round(0.1 * k, 1) for k in range(1, 11))
+        assert sweep_mod.MAX_GRID_POINTS == 100_000
+        at_limit = tuple(float(v) for v in range(1, 10_000))
+        SweepSpec(policies=("me", "cpl"), phi_grid=at_limit, lf_grid=lf_grid)
+        SweepSpec(policies=("me", "mt"), phi_grid=at_limit + (1e4, 1e5), lf_grid=lf_grid)
+        with pytest.raises(ValueError, match="the grid has 100010 points, more than 100000"):
+            SweepSpec(policies=("me", "cpl"), phi_grid=at_limit + (1e4,), lf_grid=lf_grid)
+
     def test_zero_workload_points_emit_na_percentages(self):
         # omega=1 at lf=0.05 rounds to zero tasks per slot: the ME baseline
         # averages are zero, so the relative columns carry the NA sentinel.

@@ -61,14 +61,17 @@ def apportion(w_req: int, weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
         return base
     # Award order: remainder desc, weight desc, id asc. Select the
     # leftover-th largest remainder in O(n), award every remainder above
-    # it, and order only the workers tied at it. Zero weights have
-    # remainder 0 and sort after every positive weight, so they never
-    # receive units while any positive weight exists.
+    # it, and order the workers tied at it if they outnumber the units
+    # left. Zero weights have remainder 0 and sort after every positive
+    # weight, so they never receive units while any positive weight exists.
     cut = np.partition(remainders, n - leftover)[n - leftover]
     above = remainders > cut
     base += above
     tied = np.flatnonzero(remainders == cut)
-    base[tied[np.lexsort((ids[tied], -weights[tied]))][: leftover - above.sum()]] += 1
+    rest = leftover - int(above.sum())
+    if len(tied) > rest:
+        tied = tied[np.lexsort((ids[tied], -weights[tied]))][:rest]
+    base[tied] += 1
     return base
 
 

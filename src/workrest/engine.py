@@ -155,13 +155,30 @@ class SimState:
 
 
 class CounterMoods:
-    """Default mood source: uniform [0, 1) keyed by (seed, worker id, slot)."""
+    """Default mood source: uniform [0, 1] keyed by (seed, worker id, slot).
+
+    One ``uniform01_array`` call draws ``max(1, 16384 // n)`` consecutive
+    slots; a slot outside that block, or an ``ids`` that is not its array
+    object, draws a new block from that slot. The block is keyed by the
+    identity of ``ids``, not its values, so changed ids must come in a new
+    array. Rows are read-only views.
+    """
+
+    _BLOCK = 16384  # worker-slots per draw: 32 slots at n = 500, <= 128 KB
 
     def __init__(self, seed: int):
         self.seed = seed
+        self._ids, self._first, self._block = None, 0, np.empty(0)
 
     def __call__(self, slot: int, ids: np.ndarray) -> np.ndarray:
-        return uniform01_array(self.seed, ids, slot)
+        row = slot - self._first
+        if ids is not self._ids or not 0 <= row < len(self._block):
+            rows = max(1, self._BLOCK // max(1, len(ids)))
+            self._block = uniform01_array(
+                self.seed, ids, np.arange(slot, slot + rows, dtype=np.uint64)[:, None])
+            self._block.flags.writeable = False
+            self._ids, self._first, row = ids, slot, 0
+        return self._block[row]
 
 
 def drift_bound_sides(
@@ -195,11 +212,12 @@ def drift_bound_sides(
 
 def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> None:
     """Remove ``mu`` tasks per worker in place, draining the oldest ages first."""
-    left = mu.copy()
+    left = mu
     for a in range(buckets.shape[1] - 1, -1, -1):
         take = np.minimum(buckets[:, a], left)
         buckets[:, a] -= take
-        left -= take
+        if a:
+            left = left - take
 
 
 def _step_arrays(
@@ -235,22 +253,24 @@ def _step_arrays(
         )
 
     # Phase 5: conceptual queues, from this slot's backlog and completions.
-    x = state.mu_max * ((q_hat > 0) & (mu == 0))
+    pending = q_hat > 0
+    x = state.mu_max * (pending & (mu == 0))
     Q_next = np.maximum(0, state.Q + x - mu)
 
     # Phase 6: consume oldest-first; with a deadline, the oldest column
     # expires and the rest age by one slot.
     _consume_oldest_first(state.buckets, mu)
-    if state.deadline is None:
-        expired = np.zeros(len(state.ids), dtype=np.int64)
-    else:
+    completions, expired_total, expiry_ratio_sum = int(mu.sum()), 0, 0.0
+    q_next = q_hat - mu
+    if state.deadline is not None:
         expired = state.buckets[:, -1].copy()
         state.buckets[:, 1:] = state.buckets[:, :-1]
         state.buckets[:, 0] = 0
-    completions, expired_total = int(mu.sum()), int(expired.sum())
+        expired_total = int(expired.sum())
+        q_next -= expired
+        expiry_ratio_sum = float((expired[pending] / q_hat[pending]).sum())
     if int(state.buckets.sum()) != n_total - completions - expired_total:
         raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
-    q_next = q_hat - mu - expired
 
     # Phase 7: drift from the carried queues to the slot's outgoing ones;
     # the arrival bound is the slot workload (one worker could receive all).
@@ -264,7 +284,6 @@ def _step_arrays(
     state.Q = Q_next
     state.x_sum += x
     state.mu_sum += mu
-    pending = q_hat > 0
     report = SlotReport(
         slot=t,
         arrivals=state.w_req,
@@ -272,7 +291,7 @@ def _step_arrays(
         expired=expired_total,
         pending_total=n_total,
         effort_sum=float(xi.sum()),
-        expiry_ratio_sum=float((expired[pending] / q_hat[pending]).sum()),
+        expiry_ratio_sum=expiry_ratio_sum,
         lyapunov=state.lyap2 / 2.0,
         drift_lhs=lhs2 / 2.0,
         drift_rhs=rhs2 / 2.0,

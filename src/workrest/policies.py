@@ -83,19 +83,21 @@ def decide(
     mu_max: np.ndarray,
     floor=snap_floor_array,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Population-wide decision: per-worker effort and tasks completed.
+    """Per-worker effort and tasks completed, for moods in [0, 1].
 
     ``floor`` is the snapping floor; callers may pass their own binding of
     ``snap_floor_array`` so that its calls can be swapped out or timed.
     """
     theta1, theta2, k, w = params.gates
     d = m * mu_max
-    work = (q > 0) & (m >= theta1) & (k - (q + w * Q) * m * mu_max < 0.0)
-    # At theta2 = 0 this gate reads q * floor(d) >= 0 and always passes;
-    # skipping it keeps every kind but mw at one floor call per slot.
+    # A gate at its neutral value always passes for moods in [0, 1]; skip it.
+    work = q > 0
+    if theta1 > 0.0:
+        work &= m >= theta1
+    if k != -math.inf:
+        work &= k - (q + w * Q) * m * mu_max < 0.0
     if theta2 > 0.0:
         work &= q * floor(1.0 * d) >= mu_max * floor(1.0 * (theta2 * mu_max))
-    safe = np.where(d > 0.0, d, 1.0)
-    effort_if_work = np.where(d > 0.0, np.minimum(1.0, q / safe), 1.0)
-    effort = np.where(work, effort_if_work, 0.0)
-    return effort, np.where(work, floor(effort * d), 0)
+    # Working needs q >= 1, so min(1, q / 1) = 1 at d = 0; resting's 0.0 floors to 0.
+    effort = np.where(work, np.minimum(1.0, q / np.where(d > 0.0, d, 1.0)), 0.0)
+    return effort, floor(effort * d)

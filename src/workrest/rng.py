@@ -23,16 +23,17 @@ REPUTATION_STREAM = 0x5245505554415449
 MU_MAX_STREAM = 0x4D41585052304455
 
 
-def uniform01_array(seed: int, worker_ids: np.ndarray, counter: int) -> np.ndarray:
-    """Uniform doubles in [0, 1), one per worker id, keyed by (seed, id, counter).
+def uniform01_array(seed: int, worker_ids: np.ndarray, counter) -> np.ndarray:
+    """Uniform doubles in [0, 1], one per worker id, keyed by (seed, id, counter).
 
     uint64 arithmetic wraps mod 2**64, so each value equals the scalar
-    splitmix64 reference computed with masked Python ints.
+    splitmix64 reference computed with masked Python ints; a word within
+    2**10 of 2**64 rounds to 1.0. A ``(k, 1)`` array ``counter`` gives k rows.
     """
     ids = np.asarray(worker_ids, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(seed & _MASK64) ^ (ids * np.uint64(_WORKER_KEY))
-        z = z ^ np.uint64((counter * _SLOT_KEY) & _MASK64)
+        z = z ^ (np.asarray(counter, dtype=np.uint64) * np.uint64(_SLOT_KEY))
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)

@@ -50,12 +50,13 @@ def mix64(seed: int, worker_id: int, counter: int) -> int:
 
 
 def uniform01(seed: int, worker_id: int, counter: int) -> float:
-    """Uniform double in [0, 1) keyed by (seed, worker_id, counter)."""
+    """Uniform double in [0, 1] keyed by (seed, worker_id, counter); a word
+    within 2**10 of 2**64 rounds to 1.0."""
     return mix64(seed, worker_id, counter) / 2.0 ** 64
 
 
 def mood_sample(seed: int, worker_id: int, slot: int) -> float:
-    """Deterministic per-(worker, slot) mood, uniform on [0, 1)."""
+    """Deterministic per-(worker, slot) mood, uniform on [0, 1]."""
     return uniform01(seed, worker_id, slot)
 
 

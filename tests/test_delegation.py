@@ -205,6 +205,23 @@ class TestApportion:
         assert set(ids[out == 3].tolist()) == set(np.sort(ids)[:1234].tolist())
         assert set(out.tolist()) == {2, 3}
 
+    @pytest.mark.parametrize("weights, some_tied", [
+        # remainders 0.6, 0.6, 0.4, 0.4 with 2 left over: both tied at 0.6 win
+        ([3.0, 3.0, 2.0, 2.0], False),
+        # remainders all 0.5 with 2 left over: two of four tied workers win
+        ([1.0, 1.0, 1.0, 1.0], True),
+    ], ids=["all-tied-awarded", "some-tied-awarded"])
+    def test_tied_workers_are_ordered_only_when_they_outnumber_the_units(
+        self, weights, some_tied, monkeypatch
+    ):
+        weights, ids = np.array(weights), np.array([4, 2, 9, 0])
+        expected = oracle.apportion(2, weights, ids)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
+        assert apportion(2, weights, ids).tolist() == expected.tolist()
+        assert len(sorts) == some_tied
+
     # At w_req near 2**54 the float shares lose whole units: with three unit
     # weights every remainder is 0 while 2 or 3 units are left over.
     def test_zero_weights_tied_at_a_zero_cut_receive_nothing(self):

@@ -20,6 +20,8 @@ from workrest.engine import (
     run,
 )
 from workrest.policies import PolicyParams
+from workrest.population import PopulationSpec, generate
+from workrest.rng import uniform01_array
 from workrest.workers import WorkerProfile
 
 
@@ -310,6 +312,21 @@ class TestRunInvariants:
                 q_hat = int(trace["q_hat"][t][0])
                 assert report.expiry_ratio_sum == report.expired / q_hat
 
+    def test_expiry_ratio_sum_is_exact_with_and_without_expiries(self):
+        # Slots that expire nothing and slots that expire some tasks must
+        # both give the scalar oracle's sum bit for bit.
+        pop = [WorkerProfile(id=i, reputation=1.0 - 0.1 * i, mu_max=2 + i) for i in range(5)]
+        params = PolicyParams(kind="mt", theta1=0.5)
+        config = SimConfig(slots=40, load_factor=0.4, policy=params, seed=5, deadline=2)
+        res = run(config, pop)
+        ref = ShadowSim(population=pop, policy=params, load_factor=0.4, seed=5, deadline=2)
+        for t, report in enumerate(res.reports):
+            slot = ref.step(t)
+            assert (report.expired, report.expiry_ratio_sum) == (
+                slot.expired_total, slot.expiry_ratio_sum)
+        quiet = [r for r in res.reports if r.expired == 0 and r.pending_total > 0]
+        assert len(quiet) >= 5 and sum(r.expired > 0 for r in res.reports) >= 5
+
     def test_conservation_catches_a_lost_delegation_unit(self, monkeypatch):
         # The ledger counts arrivals as the slot workload, not as the units
         # delegation handed out, so a unit lost in delegation shows.
@@ -524,6 +541,49 @@ class TestMoodSources:
         vals = CounterMoods(77)(5, ids)
         assert vals[0] == mood_sample(77, 3, 5)
         assert vals[1] == mood_sample(77, 9, 5)
+
+    @pytest.mark.parametrize("n", [500, 16385])
+    def test_block_draws_equal_one_draw_per_slot(self, n):
+        # Blocks are 32 slots at n = 500 and one slot above 16,384 workers;
+        # in order, out of order, revisited, for an equal copy of the ids or
+        # for other ids, every row must be the single-slot draw bit for bit.
+        ids = np.arange(n, dtype=np.int64) * 7 + 3
+        twin, other = ids.copy(), ids[::-1] + 1
+        moods = CounterMoods(99)
+        asks = [(t, ids) for t in range(100)]
+        asks += [(t, ids) for t in (70, 3, 3, 31, 32, 0, 95, 64, 63, 40)]
+        asks += [(t, arr) for t in (5, 6, 200) for arr in (twin, ids, other, twin)]
+        for t, arr in asks:
+            assert moods(t, arr).tobytes() == uniform01_array(99, arr, t).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            moods(0, ids)[0] = 0.5
+
+    def test_default_moods_draw_blocks_and_given_sources_are_asked_every_slot(
+        self, monkeypatch
+    ):
+        draws = []
+
+        def counting(*args):
+            draws.append(args)
+            return uniform01_array(*args)
+
+        monkeypatch.setattr(engine, "uniform01_array", counting)
+        pop = generate(PopulationSpec(count=500, seed=7))
+        config = SimConfig(slots=200, load_factor=0.5, policy=PolicyParams(kind="me"), seed=7)
+        run(config, pop)
+        assert 0 < len(draws) < 200
+        draws.clear()
+        run(SimConfig(slots=1, load_factor=0.5, policy=PolicyParams(kind="me")), pop)
+        assert len(draws) == 1
+        draws.clear()
+        asked = []
+
+        def source(t, ids):
+            asked.append(t)
+            return np.full(len(ids), 0.5)
+
+        run(config, pop, mood_source=source)
+        assert asked == list(range(200)) and draws == []
 
     @pytest.mark.parametrize("moods,message", [
         (np.full((4, 1), 0.5), r"^slot 0: mood source gave shape \(1,\)"),

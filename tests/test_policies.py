@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -255,10 +255,24 @@ grid_or_any_moods = st.one_of(
 )
 
 
+# Rows at the edges of the gates and wheres that decide skips: mood * mu_max
+# == 0 with q > 0, q == 0, and mood 1.0, with theta1 and theta2 at 0 and not.
+EDGE_ROWS = [(q, Q, m, mu_max) for q in (0, 1, 6) for Q in (0, 9)
+             for m in (0.0, 1.0, 0.5) for mu_max in (1, 4)]
+
+
 @given(
     policy_params,
     st.lists(st.tuples(backlogs, queues, grid_or_any_moods, capacities), min_size=1, max_size=40),
 )
+@example(PolicyParams(kind="me"), EDGE_ROWS)
+@example(PolicyParams(kind="mt", theta1=0.0), EDGE_ROWS)
+@example(PolicyParams(kind="mt", theta1=0.5), EDGE_ROWS)
+@example(PolicyParams(kind="mt", theta1=1.0), EDGE_ROWS)
+@example(PolicyParams(kind="mw", theta2=0.0), EDGE_ROWS)
+@example(PolicyParams(kind="mw", theta2=0.5), EDGE_ROWS)
+@example(PolicyParams(kind="ac", sigma=5.0), EDGE_ROWS)
+@example(PolicyParams(kind="cpl", phi=5.0), EDGE_ROWS)
 @settings(max_examples=300)
 def test_gated_rule_matches_the_five_scalar_rules(params, rows):
     """The array rule reproduces each paper rule bit for bit, worker by worker."""
@@ -269,3 +283,4 @@ def test_gated_rule_matches_the_five_scalar_rules(params, rows):
     expected = [decide(params, *row) for row in rows]
     assert effort.tolist() == [d.effort for d in expected]
     assert completed.tolist() == [d.completed for d in expected]
+    assert completed.dtype == np.int64

@@ -2,8 +2,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import mood_sample, uniform01
+from conftest import traced_run
+from oracle import mix64, mood_sample, uniform01
+from workrest.engine import CounterMoods, SimConfig
+from workrest.policies import PolicyParams
 from workrest.rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01_array
+from workrest.workers import WorkerProfile
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 ids = st.integers(min_value=0, max_value=2**32)
@@ -18,7 +22,25 @@ def test_deterministic(seed, worker_id, slot):
 @given(seeds, ids, slots)
 def test_range(seed, worker_id, slot):
     v = mood_sample(seed, worker_id, slot)
-    assert 0.0 <= v < 1.0
+    assert 0.0 <= v <= 1.0
+
+
+# Worker 0's slot-0 word under this seed is the splitmix64 preimage of
+# 2**64 - 1, which rounds to exactly 1.0: the range is closed at 1.
+TOP_SEED = 14959274266131672512
+
+
+def test_a_word_next_to_2_64_gives_a_mood_of_exactly_one():
+    assert mix64(TOP_SEED, 0, 0) == 2**64 - 1
+    assert uniform01(TOP_SEED, 0, 0) == mood_sample(TOP_SEED, 0, 0) == 1.0
+    ids = np.array([0, 1, 2], dtype=np.int64)
+    assert uniform01_array(TOP_SEED, ids, 0)[0] == 1.0
+    assert CounterMoods(TOP_SEED)(0, ids)[0] == 1.0
+    pop = [WorkerProfile(id=i, reputation=1.0, mu_max=4) for i in ids.tolist()]
+    config = SimConfig(slots=1, load_factor=0.5, policy=PolicyParams(kind="me"), seed=TOP_SEED)
+    result, trace = traced_run(config, pop)
+    assert trace["mood"][0][0] == 1.0
+    assert result.conserves_tasks() and result.drift_violations == 0
 
 
 @given(seeds, slots, st.lists(ids, min_size=1, max_size=50))

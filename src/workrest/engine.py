@@ -2,23 +2,25 @@
 
 Each slot runs a fixed phase order over the whole population:
 
-1. delegate this slot's tasks (new cohorts enter at age 0)
+1. delegate this slot's tasks
 2. record the observed backlog q_i(t) and the system total
 3. sample per-worker mood
 4. policy decision per worker -> (effort, completed)
 5. conceptual-queue update from this slot's backlog and completions
-6. consume completed tasks oldest-first; with a deadline, expire the
-   oldest cohort and age the rest
+6. completions take the oldest tasks; with a deadline, the tasks older
+   than the deadline expire
 7. drift-bound diagnostics on the queues phases 5-6 computed; twice the
    Lyapunov value is carried as a running Python int
 8. state handoff and the slot report
 
 State is held in flat arrays (one row per worker) so a slot is a handful
-of vector operations. A task's age matters only through its deadline, so
-the backlog keeps one column per age below the deadline, and a single
-column (the count ``q``) when tasks never expire. The same
-semantics, one worker at a time, live in ``tests/oracle.py`` as the test
-oracle that this engine is checked against slot by slot.
+of vector operations. Completions and expiry both remove a worker's
+oldest tasks, so its backlog is always the youngest tasks it was given,
+and a task's age never needs storing: with a deadline the engine keeps
+the last D slots' cumulative arrivals, and without one only the count
+``q``. A slot costs the same at every deadline. The same semantics, one
+worker at a time and with per-age cohorts, live in ``tests/oracle.py`` as
+the test oracle that this engine is checked against slot by slot.
 """
 
 from __future__ import annotations
@@ -95,21 +97,21 @@ class SimState:
 
     ``deadline`` is the run's deadline when a task can reach it within the
     run (``deadline <= slots``), and ``None`` otherwise: a longer one
-    expires nothing. ``buckets[:, a]`` holds each worker's tasks of age
-    ``a``, one column per age below ``deadline`` (one column, the whole
-    backlog, without one), age-major (Fortran order): each age is one
-    contiguous column that a slot drains with one vector operation.
-    ``q`` is the carried backlog (before the current slot's arrivals) and
-    always equals the bucket row sums. ``mu_max_global`` is the largest
-    capacity, the drift diagnostics' uniform completion bound. ``lyap2`` is
-    twice the Lyapunov value of ``q`` and ``Q``, a Python int so that it
-    never wraps.
+    expires nothing. With a deadline D, ``arrived[:, t % D]`` holds each
+    worker's cumulative arrivals through slot ``t``, for the last D slots
+    (column-major, so each slot's column is contiguous); without one,
+    ``arrived`` is ``None``. ``q`` is the carried backlog (before the
+    current slot's arrivals): the youngest tasks a worker was given, with
+    a deadline all delegated within the last D - 1 slots.
+    ``mu_max_global`` is the largest capacity, the drift diagnostics'
+    uniform completion bound. ``lyap2`` is twice the Lyapunov value of
+    ``q`` and ``Q``, a Python int so that it never wraps.
     """
 
     ids: np.ndarray
     reputation: np.ndarray
     mu_max: np.ndarray
-    buckets: np.ndarray
+    arrived: np.ndarray | None
     q: np.ndarray
     Q: np.ndarray
     x_sum: np.ndarray
@@ -139,11 +141,15 @@ class SimState:
         if largest >= 2**63:
             raise ValueError(f"int64 drift sums may reach {largest}, beyond 2**63 (backlog <= "
                              f"{backlog_cap}, conceptual queue <= {config.slots * g})")
+        # The cumulative arrivals in ``arrived`` reach slots * w_req, below 2**63
+        # too: w_req rounds lf * omega <= n * g half up, so w_req <= n * g + 1,
+        # and slots * w_req <= n * (slots * g)**2 when slots * g >= 2; at
+        # slots = g = 1 it is w_req <= 2**53.
         return cls(
             ids=ids,
             reputation=np.array([p.reputation for p in population]),
             mu_max=np.array([p.mu_max for p in population], dtype=np.int64),
-            buckets=np.zeros((n, deadline or 1), dtype=np.int64, order="F"),
+            arrived=None if deadline is None else np.zeros((n, deadline), np.int64, order="F"),
             q=np.zeros(n, dtype=np.int64),
             Q=np.zeros(n, dtype=np.int64),
             x_sum=np.zeros(n, dtype=np.int64),
@@ -210,26 +216,14 @@ def drift_bound_sides(
     return next2 - lyap2, rhs2, next2
 
 
-def _consume_oldest_first(buckets: np.ndarray, mu: np.ndarray) -> None:
-    """Remove ``mu`` tasks per worker in place, draining the oldest ages first."""
-    left = mu
-    for a in range(buckets.shape[1] - 1, -1, -1):
-        take = np.minimum(buckets[:, a], left)
-        buckets[:, a] -= take
-        if a:
-            left = left - take
-
-
 def _step_arrays(
     state: SimState, config: SimConfig, t: int, mood_source
 ) -> tuple[SlotReport, bool]:
     """One slot over the state arrays; returns the report and whether the
     slot broke the drift bound (compared exactly)."""
-    # Phase 1: delegation. Weights use the carried backlog, new cohorts
-    # enter at age 0.
+    # Phase 1: delegation. Weights use the carried backlog.
     weights = delegation_weights(state.reputation, state.mu_max, state.q)
     lam = apportion(state.w_req, weights, state.ids)
-    state.buckets[:, 0] += lam
 
     # Phase 2: observed backlog and system total.
     q_hat = state.q + lam
@@ -257,20 +251,22 @@ def _step_arrays(
     x = state.mu_max * (pending & (mu == 0))
     Q_next = np.maximum(0, state.Q + x - mu)
 
-    # Phase 6: consume oldest-first; with a deadline, the oldest column
-    # expires and the rest age by one slot.
-    _consume_oldest_first(state.buckets, mu)
+    # Phase 6: the backlog is each worker's youngest tasks, so with a
+    # deadline D those delegated before the last D - 1 slots (this one
+    # included) expire: the oldest ones, as a cohort FIFO would age them out.
     completions, expired_total, expiry_ratio_sum = int(mu.sum()), 0, 0.0
     q_next = q_hat - mu
     if state.deadline is not None:
-        expired = state.buckets[:, -1].copy()
-        state.buckets[:, 1:] = state.buckets[:, :-1]
-        state.buckets[:, 0] = 0
+        ring, d = state.arrived, state.deadline
+        through_t = ring[:, (t - 1) % d] + lam
+        # Every pending task was delegated within the last D slots.
+        if (q_hat > through_t - ring[:, t % d]).any():
+            raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
+        ring[:, t % d] = through_t
+        expired = np.maximum(0, q_next - (through_t - ring[:, (t + 1) % d]))
         expired_total = int(expired.sum())
         q_next -= expired
         expiry_ratio_sum = float((expired[pending] / q_hat[pending]).sum())
-    if int(state.buckets.sum()) != n_total - completions - expired_total:
-        raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
 
     # Phase 7: drift from the carried queues to the slot's outgoing ones;
     # the arrival bound is the slot workload (one worker could receive all).

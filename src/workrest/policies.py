@@ -97,7 +97,7 @@ def decide(
     if k != -math.inf:
         work &= k - (q + w * Q) * m * mu_max < 0.0
     if theta2 > 0.0:
-        work &= q * floor(1.0 * d) >= mu_max * floor(1.0 * (theta2 * mu_max))
+        work &= q * floor(d) >= mu_max * floor(theta2 * mu_max)
     # Working needs q >= 1, so min(1, q / 1) = 1 at d = 0; resting's 0.0 floors to 0.
     effort = np.where(work, np.minimum(1.0, q / np.where(d > 0.0, d, 1.0)), 0.0)
     return effort, floor(effort * d)

@@ -1,9 +1,10 @@
 """Worker identity: reputation and per-slot capacity.
 
-A worker's queues (the real backlog, kept per task age only when there
-is a deadline to expire tasks at, and the virtual "conceptual" queue that
-grows whenever the worker rests while tasks are pending) live as
-population-wide arrays in ``engine.SimState``.
+A worker's queues (the real backlog, a count whose task ages follow from
+the arrival history kept when there is a deadline to expire tasks at,
+and the virtual "conceptual" queue that grows whenever the worker rests
+while tasks are pending) live as population-wide arrays in
+``engine.SimState``.
 """
 
 from __future__ import annotations

@@ -182,18 +182,28 @@ def complete_and_age(
     return state, expired
 
 
-def to_worker_states(state: SimState) -> list[WorkerState]:
-    """Export the engine's per-worker states with oldest-first cohort FIFOs."""
+def to_worker_states(state: SimState, slots: int) -> list[WorkerState]:
+    """Export the engine's per-worker states after ``slots`` slots as
+    oldest-first cohort FIFOs.
+
+    With a deadline D a worker's backlog ``q`` is its youngest tasks, so the
+    cohorts are the arrivals of its last D - 1 slots, taken newest first
+    until they hold ``q``. Without one ages are not engine state, and the
+    backlog is one cohort of age 0.
+    """
     out = []
     for i in range(len(state.ids)):
-        backlog = [
-            TaskCohort(count=int(state.buckets[i, a]), age=a)
-            for a in range(state.buckets.shape[1] - 1, -1, -1)
-            if state.buckets[i, a] > 0
-        ]
-        out.append(
-            WorkerState(backlog=backlog, q=int(state.q[i]), conceptual_q=int(state.Q[i]))
-        )
+        q = int(state.q[i])
+        if state.deadline is None:
+            backlog = [TaskCohort(count=q)] if q else []
+        else:
+            backlog, d, arrived, left = [], state.deadline, state.arrived[i].tolist(), q
+            for s in range(slots - 1, slots - d, -1):
+                take = min(arrived[s % d] - arrived[(s - 1) % d], left)
+                if take:
+                    backlog.insert(0, TaskCohort(count=take, age=slots - s))
+                left -= take
+        out.append(WorkerState(backlog=backlog, q=q, conceptual_q=int(state.Q[i])))
     return out
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import lossy_apportion, traced_run
-from oracle import TaskCohort, WorkerState, mood_sample, to_worker_states
+from oracle import WorkerState, mood_sample, to_worker_states
 from shadow import ShadowSim
 from workrest import engine
 from workrest.engine import (
@@ -15,7 +15,6 @@ from workrest.engine import (
     SimConfig,
     SimState,
     SimulationError,
-    _consume_oldest_first,
     drift_bound_sides,
     run,
 )
@@ -222,7 +221,7 @@ class TestEngineMatchesScalarOracle:
             assert report.expiry_ratio_sum == slot.expiry_ratio_sum
         # the exported per-worker FIFOs agree with the scalar states; without
         # a binding deadline ages are not engine state, so only the queues compare
-        final_workers = to_worker_states(result.final_state)
+        final_workers = to_worker_states(result.final_state, slots)
         assert oracle.compute_lyapunov(final_workers) == result.reports[-1].lyapunov
         if result.final_state.deadline is None:
             final = result.final_state
@@ -357,31 +356,76 @@ class TestRunInvariants:
         assert a.metrics != b.metrics
 
 
-class TestConsumeOldestFirst:
-    """Phase 6's in-place drain against the oracle's cohort FIFO, row by row."""
+class TestExpiryFromArrivals:
+    """Phase 6's expiry, read from cumulative arrivals, against the oracle's
+    cohort FIFO, worker by worker."""
 
-    @given(st.data(), st.integers(min_value=1, max_value=12), st.sampled_from([1, 3]))
-    @settings(max_examples=200)
-    def test_drains_in_place_like_the_cohort_fifo(self, data, n, width):
-        cells = st.lists(st.integers(0, 9), min_size=width, max_size=width)
-        buckets = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), order="F")
-        totals = buckets.sum(axis=1)
-        mu = np.array([data.draw(st.integers(0, int(t))) for t in totals])
-        full = data.draw(st.integers(0, n - 1))
-        mu[full] = totals[full]  # at least one row drains entirely
-        mu_before = mu.copy()
-        expected = np.zeros_like(buckets)
-        for i, row in enumerate(buckets):
-            fifo = [TaskCohort(int(row[a]), a) for a in range(width - 1, -1, -1) if row[a]]
-            state = WorkerState(backlog=fifo, q=int(row.sum()))
-            oracle.complete_and_age(state, int(mu[i]), None)
-            for cohort in state.backlog:  # aged by one slot; the drain itself does not age
-                expected[i, cohort.age - 1] = cohort.count
+    @given(st.data(), st.integers(min_value=1, max_value=6), st.sampled_from([1, 2, 3, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_expires_like_the_cohort_fifo(self, data, n, d):
+        # Random arrivals and completions over slots 0..t build each worker's
+        # FIFO; the engine gets the same arrival history and carried backlog
+        # and runs slot t.
+        t = data.draw(st.integers(0, 2 * d + 1), label="slot")
+        row = st.lists(st.integers(0, 5), min_size=t + 1, max_size=t + 1)
+        lam = np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.int64)
+        workers, q, mu = [], [], []
+        for i in range(n):
+            worker = WorkerState()
+            for s in range(t + 1):
+                if s == t:
+                    q.append(worker.q)
+                oracle.enqueue_arrivals(worker, int(lam[i, s]))
+                done = data.draw(st.integers(0, worker.q))
+                oracle.complete_and_age(worker, done, d)
+            workers.append(worker)
+            mu.append(done)
 
-        _consume_oldest_first(buckets, mu)
-        assert buckets.flags.f_contiguous
-        assert buckets.tolist() == expected.tolist()
-        assert mu.tolist() == mu_before.tolist()
+        config = SimConfig(slots=max(t + 1, d), load_factor=1.0, policy=PolicyParams("me"),
+                           deadline=d)
+        pop = [WorkerProfile(id=i, reputation=1.0, mu_max=1) for i in range(n)]
+        state = SimState.from_population(pop, config)
+        arrived = lam.cumsum(axis=1)
+        for s in range(max(0, t - d), t):
+            state.arrived[:, s % d] = arrived[:, s]
+        state.q = np.array(q, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "apportion", lambda w_req, weights, ids: lam[:, t].copy())
+            mp.setattr(engine, "decide", lambda *args, **kw: (np.zeros(n), np.array(mu)))
+            engine._step_arrays(state, config, t, lambda slot, ids: np.zeros(len(ids)))
+        assert state.q.tolist() == [w.q for w in workers]
+        exported = to_worker_states(state, t + 1)
+        assert [w.backlog for w in exported] == [w.backlog for w in workers]
+
+    def test_backlog_older_than_the_deadline_is_a_bookkeeping_error(self):
+        # Five tasks carried with no arrivals on record are older than the
+        # deadline; the slot must stop, not expire or keep them.
+        config = cpl_config(deadline=2)
+        state = SimState.from_population(single_worker(), config)
+        state.q = np.array([5], dtype=np.int64)
+        with pytest.raises(SimulationError, match="bookkeeping"):
+            engine._step_arrays(state, config, 0, lambda slot, ids: np.full(len(ids), 0.5))
+
+    def test_numpy_lookups_per_run_do_not_grow_with_the_deadline(self, monkeypatch):
+        # A slot's cost is a fixed number of vector operations whatever the
+        # deadline, so a run at deadline = slots looks up as many numpy
+        # functions as one at deadline 3.
+        class CountingNumpy:
+            lookups = 0
+
+            def __getattr__(self, name):
+                CountingNumpy.lookups += 1
+                return getattr(np, name)
+
+        pop = [WorkerProfile(id=i, reputation=0.5 + 0.02 * i, mu_max=1 + i % 5) for i in range(20)]
+        counts = []
+        for deadline in (3, 200):
+            CountingNumpy.lookups = 0
+            monkeypatch.setattr(engine, "np", CountingNumpy())
+            run(cpl_config(slots=200, phi=20.0, deadline=deadline), pop, keep_reports=False)
+            monkeypatch.undo()
+            counts.append(CountingNumpy.lookups)
+        assert counts[0] == counts[1]
 
 
 class TestNoDeadline:
@@ -403,20 +447,21 @@ class TestNoDeadline:
     @pytest.mark.parametrize("slots", [100, 2_000])
     def test_backlog_state_stays_one_column(self, slots):
         # Never works, never expires: everything stays pending, and the
-        # state is the count alone however long the run, so a slot's cost
-        # does not grow with T.
+        # state is the count alone however long the run, with no arrival
+        # history, so a slot's cost does not grow with T.
         pop = [WorkerProfile(id=i, reputation=1.0, mu_max=2) for i in range(3)]
         config = SimConfig(
             slots=slots, load_factor=1.0,
             policy=PolicyParams(kind="mt", theta1=1.0), seed=0, deadline=None,
         )
         res = run(config, pop, keep_reports=False)
-        assert res.final_state.buckets.shape == (len(pop), 1)
+        assert res.final_state.arrived is None
         assert res.pending_final == res.arrivals_total
 
     def test_deadline_beyond_the_run_is_no_deadline(self):
         # A deadline longer than the run expires nothing, so it costs what
-        # no deadline costs: one column, not one per age up to 10**9.
+        # no deadline costs: no arrival history, not one column per slot up
+        # to 10**9.
         pop = [WorkerProfile(id=i, reputation=1.0, mu_max=2 + i) for i in range(10)]
         runs = [
             run(SimConfig(slots=5, load_factor=0.5, policy=PolicyParams(kind="me"),
@@ -424,7 +469,7 @@ class TestNoDeadline:
             for deadline in (10**9, None)
         ]
         assert [r.final_state.deadline for r in runs] == [None, None]
-        assert runs[0].final_state.buckets.shape == (len(pop), 1)
+        assert runs[0].final_state.arrived is None
         assert runs[0].reports == runs[1].reports
         assert runs[0].metrics == runs[1].metrics
 
@@ -494,7 +539,7 @@ class TestValidation:
                       min_size=1, max_size=3),
         lf=st.floats(0.0, 1.0, exclude_min=True),
         slots=st.integers(1, 6),
-        deadline=st.sampled_from([1, 3, None]),
+        deadline=st.sampled_from([1, 3, None, "slots"]),
         policy=st.sampled_from([PolicyParams("me"), PolicyParams("ac", sigma=1e30)]),
     )
     def test_inputs_near_the_exactness_bounds_are_rejected_or_exact(
@@ -502,6 +547,7 @@ class TestValidation:
     ):
         # ``ac`` at sigma = 1e30 always rests, so its queues pile up.
         pop = [WorkerProfile(id=i, reputation=1.0, mu_max=m) for i, m in enumerate(caps)]
+        deadline = slots if deadline == "slots" else deadline
         config = SimConfig(slots=slots, load_factor=lf, policy=policy, deadline=deadline)
         try:
             SimState.from_population(pop, config)

@@ -1,6 +1,6 @@
 """Deterministic simulator and policy library for work-rest scheduling."""
 
-from .delegation import apportion, collective_capacity, slot_workload
+from .delegation import apportion, slot_workload
 from .engine import (
     CounterMoods,
     RunMetrics,

@@ -52,7 +52,8 @@ def _parse_deadline(text: str) -> int | None:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """Grid syntax: comma list ('5,25,50') and/or ranges ('5:100:5')."""
+    """Grid syntax: comma list ('5,25,50') and/or ranges ('5:100:5'), whose
+    values are computed by index, so they stay on the step's lattice."""
     values: list[float] = []
     for part in text.split(","):
         part = part.strip()
@@ -72,15 +73,16 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(f"grid range {part!r} must be finite")
         if step_ <= 0:
             raise argparse.ArgumentTypeError(f"grid step must be positive in {part!r}")
-        if len(values) + (stop - start) / step_ >= MAX_GRID_POINTS:
+        # Value i is start + i * step, for every i up to the stop (less 1e-9 of a step).
+        span = (stop - start) / step_ + 1e-9
+        if len(values) + span >= MAX_GRID_POINTS:
             raise argparse.ArgumentTypeError(
                 f"grid range {part!r} takes the grid past {MAX_GRID_POINTS} values")
-        v = start
-        while v <= stop + 1e-9:
-            values.append(round(v, 10))
-            if v + step_ == v:
-                raise argparse.ArgumentTypeError(f"step {step_} does not advance {v} in {part!r}")
-            v += step_
+        added = [round(start + i * step_, 10) for i in range(math.floor(span) + 1)]
+        stuck = next((a for a, b in zip(added, added[1:]) if a == b), None)
+        if stuck is not None:
+            raise argparse.ArgumentTypeError(f"step {step_} does not advance {stuck} in {part!r}")
+        values += added
     if not values:
         raise argparse.ArgumentTypeError(f"empty grid {text!r}")
     return tuple(values)

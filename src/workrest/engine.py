@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .delegation import apportion, collective_capacity, delegation_weights, slot_workload
+from .delegation import apportion, delegation_weights, slot_workload
 from .numerics import snap_floor_array
 from .policies import PolicyParams, decide
 from .rng import uniform01_array
@@ -103,13 +103,14 @@ class SimState:
     ``arrived`` is ``None``. ``q`` is the carried backlog (before the
     current slot's arrivals): the youngest tasks a worker was given, with
     a deadline all delegated within the last D - 1 slots.
+    ``weighted_capacity`` is each worker's r * mu_max, summing to omega.
     ``mu_max_global`` is the largest capacity, the drift diagnostics'
     uniform completion bound. ``lyap2`` is twice the Lyapunov value of
     ``q`` and ``Q``, a Python int so that it never wraps.
     """
 
     ids: np.ndarray
-    reputation: np.ndarray
+    weighted_capacity: np.ndarray
     mu_max: np.ndarray
     arrived: np.ndarray | None
     q: np.ndarray
@@ -126,11 +127,15 @@ class SimState:
         cls, population: Sequence[WorkerProfile], config: SimConfig
     ) -> "SimState":
         n = len(population)
+        if n == 0:
+            raise ValueError("population must be non-empty")
         ids = np.array([p.id for p in population], dtype=np.int64)
         if len(set(ids.tolist())) != n:
             raise ValueError("worker ids must be unique")
-        w_req = slot_workload(config.load_factor, collective_capacity(population))
-        g = max(p.mu_max for p in population)
+        mu_max = np.array([p.mu_max for p in population], dtype=np.int64)
+        weighted_capacity = np.array([p.reputation for p in population]) * mu_max
+        w_req = slot_workload(config.load_factor, float(weighted_capacity.sum()))
+        g = int(mu_max.max())
         deadline = config.deadline if (config.deadline or 0) <= config.slots else None
         # Float shares hold w_req exactly up to 2**53. A backlog total of at most
         # min(D, T) * w_req and each Q <= T * g bound every int64 sum of phase 7.
@@ -147,8 +152,8 @@ class SimState:
         # slots = g = 1 it is w_req <= 2**53.
         return cls(
             ids=ids,
-            reputation=np.array([p.reputation for p in population]),
-            mu_max=np.array([p.mu_max for p in population], dtype=np.int64),
+            weighted_capacity=weighted_capacity,
+            mu_max=mu_max,
             arrived=None if deadline is None else np.zeros((n, deadline), np.int64, order="F"),
             q=np.zeros(n, dtype=np.int64),
             Q=np.zeros(n, dtype=np.int64),
@@ -222,7 +227,7 @@ def _step_arrays(
     """One slot over the state arrays; returns the report and whether the
     slot broke the drift bound (compared exactly)."""
     # Phase 1: delegation. Weights use the carried backlog.
-    weights = delegation_weights(state.reputation, state.mu_max, state.q)
+    weights = delegation_weights(state.weighted_capacity, state.q)
     lam = apportion(state.w_req, weights, state.ids)
 
     # Phase 2: observed backlog and system total.

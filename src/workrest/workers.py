@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class WorkerProfile:
-    """Immutable worker identity: reputation and per-slot capacity."""
+    """Immutable worker identity: reputation and whole per-slot capacity (an int)."""
 
     id: int
     reputation: float
@@ -27,5 +27,7 @@ class WorkerProfile:
             raise ValueError(
                 f"reputation must be in [0, 1], got {self.reputation}"
             )
-        if not (self.mu_max >= 1 and self.mu_max % 1 == 0):
-            raise ValueError(f"mu_max must be a whole number >= 1, got {self.mu_max}")
+        if not (1 <= self.mu_max <= 2**53 and self.mu_max % 1 == 0):
+            raise ValueError(f"mu_max must be a whole number in [1, 2**53], got {self.mu_max}")
+        if type(self.mu_max) is not int:
+            object.__setattr__(self, "mu_max", int(self.mu_max))

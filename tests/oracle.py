@@ -3,8 +3,8 @@
 Each function states one part of the model for one worker at a time:
 the splitmix64 counter hash behind moods and populations, the synthetic
 population draw, the five policy rules as the paper states them, the
-queue recurrences, the oldest-first cohort FIFO, largest-remainder
-delegation and the Lyapunov function. ``shadow.ShadowSim`` strings them into a whole simulation that
+queue recurrences, the oldest-first cohort FIFO, the collective
+capacity, largest-remainder delegation and the Lyapunov function. ``shadow.ShadowSim`` strings them into a whole simulation that
 the vectorized engine in ``workrest.engine`` must replay exactly. None of
 this is used by the simulator itself.
 """
@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from workrest.delegation import delegation_weights
 from workrest.engine import SimState
 from workrest.numerics import SNAP_RTOL
 from workrest.policies import PolicyParams
@@ -302,26 +301,25 @@ def decide(params: PolicyParams, q: int, Q: int, mood: float, mu_max: int) -> Po
 # --- delegation -------------------------------------------------------------
 
 
+def collective_capacity(population: Sequence[WorkerProfile]) -> float:
+    """Reputation-weighted capacity of the population: sum r_i * mu_max_i."""
+    if len(population) == 0:
+        raise ValueError("population must be non-empty")
+    values = np.array([p.reputation * p.mu_max for p in population])
+    return float(values.sum())
+
+
 def apportion(w_req: int, weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Largest-remainder split, one unit at a time (reference for the engine's).
 
     Awards the leftover units in order of remainder desc, weight desc, id
     asc, skipping zero weights and wrapping around the order if needed;
-    trims from the end of the order if rounding ever overshoots. All-zero
-    weights spread the units uniformly in ascending-id order.
+    trims from the end of the order if rounding ever overshoots. Weights
+    whose sum is not positive are a ``ValueError``.
     """
-    n = len(weights)
-    out = np.zeros(n, dtype=np.int64)
-    if w_req == 0:
-        return out
     total = float(weights.sum())
-    if total <= 0.0:
-        order = np.argsort(ids, kind="stable")
-        base, extra = divmod(w_req, n)
-        out[:] = base
-        out[order[:extra]] += 1
-        return out
-
+    if not total > 0.0:
+        raise ValueError(f"delegation weights must have a positive sum, got {total}")
     shares = w_req * weights / total
     base = np.floor(shares).astype(np.int64)
     leftover = w_req - int(base.sum())
@@ -359,5 +357,5 @@ def delegate(
     cap = np.array([p.mu_max for p in population], dtype=np.int64)
     q = np.array([s.q for s in states], dtype=np.int64)
     ids = np.array([p.id for p in population], dtype=np.int64)
-    weights = delegation_weights(rep, cap, q)
+    weights = rep * cap / (1.0 + q)
     return [int(v) for v in apportion(w_req, weights, ids)]

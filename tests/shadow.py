@@ -12,6 +12,7 @@ import numpy as np
 
 from oracle import (
     WorkerState,
+    collective_capacity,
     complete_and_age,
     decide,
     delegate,
@@ -19,7 +20,7 @@ from oracle import (
     mood_sample,
     update_conceptual_queue,
 )
-from workrest.delegation import collective_capacity, slot_workload
+from workrest.delegation import slot_workload
 from workrest.policies import PolicyParams
 from workrest.workers import WorkerProfile
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import desk_sweep_spec, lossy_apportion
+from conftest import DESK_N, DESK_SEED, desk_sweep_spec, lossy_apportion
 from workrest import cli, engine
 from workrest.cli import main
 from workrest.population import Distribution, PopulationSpec, generate, load_csv
@@ -349,6 +349,18 @@ class TestSweepAndReport:
         assert cli.build_parser().parse_args(["sweep", "--phi-grid", "5,,25"]).phi_grid == (
             5.0, 25.0)
 
+    @pytest.mark.parametrize("text,grid", [
+        # accumulating the step drifted off the lattice and, at 9999, lost the stop
+        ("0:1000:0.1", tuple(i / 10 for i in range(10_001))),
+        ("0:9999:0.1", tuple(i / 10 for i in range(99_991))),
+        ("5:100:5", SweepSpec().phi_grid),
+        ("0.05:1:0.05", SweepSpec().lf_grid),
+        # the stop's tolerance is a share of the step, not 1e-9 of the value
+        ("0:5e-10:1e-10", tuple(i / 1e10 for i in range(6))),
+    ])
+    def test_range_values_are_computed_by_index(self, text, grid):
+        assert cli.build_parser().parse_args(["sweep", "--phi-grid", text]).phi_grid == grid
+
     @pytest.mark.parametrize("grids,named", [
         (["--phi-grid", "1:1e12:1"],
          "argument --phi-grid: grid range '1:1e12:1' takes the grid past 100000 values"),
@@ -448,6 +460,14 @@ class TestUsageErrors:
                                     [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
                                     ["w.csv:3: worker id must be in [0, 2**63), "
                                      "got 9223372036854775808"]),
+        "workers-capacity-2**63": ({"w.csv": HEADER + f"0,0.5,{2**63}\n"},
+                                   [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
+                                   ["w.csv:2: mu_max must be a whole number in [1, 2**53], "
+                                    f"got {2**63}"]),
+        "workers-capacity-2**64": ({"w.csv": HEADER + f"0,0.5,3\n1,0.5,{2**64}\n"},
+                                   [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
+                                   ["w.csv:3: mu_max must be a whole number in [1, 2**53], "
+                                    f"got {2**64}"]),
         "report-short-row": ({"s.csv": ",".join(SWEEP_HEADER) + "\n\nme,none,0.0\n"},
                              ["report", "{tmp}/s.csv"], ["bad sweep row ['me', 'none', '0.0']"]),
     }
@@ -470,9 +490,11 @@ class TestExperimentConfigs:
         assert cli._sweep_spec(args) == SweepSpec(slots=40, seed=3, deadline=None)
 
     def test_desk_config_resolves_to_the_acceptance_grid(self):
+        # README's reproduce command runs the grid and population of the
+        # ``desk`` fixture, whose rows are pinned to results/desk_sweep.csv
         args = cli.build_parser().parse_args(["sweep", f"@{RESULTS / 'desk.args'}"])
         assert cli._sweep_spec(args) == desk_sweep_spec()
-        assert (args.gen_n, args.workers) == (500, None)
+        assert (args.gen_n, args.workers, args.seed) == (DESK_N, None, DESK_SEED)
 
     def test_desk_fixture_reproduces_the_committed_results(self, desk):
         # the grid order and the CSV writers, byte for byte

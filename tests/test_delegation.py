@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from oracle import TaskCohort, WorkerState, delegate
-from workrest.delegation import apportion, collective_capacity, slot_workload
+from oracle import TaskCohort, WorkerState, collective_capacity, delegate
+from workrest.delegation import apportion, slot_workload
+from workrest.engine import SimConfig, SimState
+from workrest.policies import PolicyParams
+from workrest.population import PopulationSpec, generate
 from workrest.workers import WorkerProfile
 
 
@@ -34,6 +37,24 @@ class TestCollectiveCapacity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             collective_capacity([])
+
+    @pytest.mark.parametrize("population", [
+        generate(PopulationSpec(count=500, seed=7)),
+        generate(PopulationSpec(count=5547, seed=7)),
+        profiles((0.0, 9), (1 / 3, 7), (0.0, 1), (0.1, 3), (0.9, 10)),
+        profiles((0.0, 2**20), (0.7, 2**20 - 1), (0.0, 5), (0.3, 123457)),
+    ], ids=["generated-500", "generated-5547", "zero-reputations", "zero-reputations-large"])
+    def test_state_weighted_capacity_sums_to_the_reference_omega(self, population):
+        config = SimConfig(slots=1, load_factor=0.5, policy=PolicyParams("me"))
+        state = SimState.from_population(population, config)
+        omega = float(state.weighted_capacity.sum())
+        assert omega.hex() == collective_capacity(population).hex()
+        assert state.w_req == slot_workload(0.5, omega)
+
+    def test_state_of_no_workers_rejected(self):
+        config = SimConfig(slots=1, load_factor=0.5, policy=PolicyParams("me"))
+        with pytest.raises(ValueError, match="population must be non-empty"):
+            SimState.from_population([], config)
 
 
 class TestSlotWorkload:
@@ -83,9 +104,10 @@ class TestDelegate:
         pop = profiles((0.0, 10), (1.0, 5))
         assert delegate(5, pop, idle_states(2)) == [0, 5]
 
-    def test_all_zero_weights_uniform_fallback(self):
+    def test_all_zero_weights_are_a_value_error(self):
         pop = profiles((0.0, 10), (0.0, 5), (0.0, 5))
-        assert delegate(7, pop, idle_states(3)) == [3, 2, 2]
+        with pytest.raises(ValueError, match="positive sum"):
+            delegate(7, pop, idle_states(3))
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -105,6 +127,7 @@ class TestDelegate:
     )
     @settings(max_examples=200)
     def test_conservation(self, w_req, rows):
+        assume(any(r * m / (1.0 + q) > 0.0 for r, m, q in rows))
         pop = profiles(*[(r, m) for r, m, _ in rows])
         states = [busy_state(q) for _, _, q in rows]
         out = delegate(w_req, pop, states)
@@ -165,6 +188,14 @@ class TestApportion:
         out = apportion(2, np.array([1.0, 3.0]), np.array([0, 1]))
         assert out.tolist() == [0, 2]
 
+    @pytest.mark.parametrize("w_req", [0, 7])
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [0.0]], ids=["three", "one"])
+    def test_weights_without_a_positive_sum_are_a_value_error(self, w_req, weights):
+        with pytest.raises(ValueError, match="positive sum, got 0.0"):
+            apportion(w_req, np.array(weights), np.arange(len(weights)))
+        with pytest.raises(ValueError, match="positive sum"):
+            oracle.apportion(w_req, np.array(weights), np.arange(len(weights)))
+
     def test_exact_shares_no_leftover(self):
         out = apportion(6, np.array([2.0, 1.0]), np.array([0, 1]))
         assert out.tolist() == [4, 2]
@@ -181,13 +212,11 @@ class TestApportion:
             max_size=40,
         ),
         st.randoms(use_true_random=False),
-        st.booleans(),
     )
     @settings(max_examples=300)
-    def test_single_pass_award_equals_unit_by_unit_reference(
-        self, w_req, weights, rnd, all_zero
-    ):
-        weights = np.zeros(len(weights)) if all_zero else np.array(weights)
+    def test_single_pass_award_equals_unit_by_unit_reference(self, w_req, weights, rnd):
+        assume(sum(weights) > 0.0)
+        weights = np.array(weights)
         ids = np.array(rnd.sample(range(1000), len(weights)), dtype=np.int64)
         out = apportion(w_req, weights, ids)
         assert out.dtype == np.int64

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from workrest.delegation import collective_capacity
+from oracle import collective_capacity
 from workrest.population import (
     Distribution,
     PopulationSpec,

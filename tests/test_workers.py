@@ -14,6 +14,7 @@ from oracle import (
     update_conceptual_queue,
 )
 from workrest.numerics import snap_floor_array
+from workrest.population import load_csv, write_csv
 from workrest.workers import WorkerProfile
 
 moods = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -37,11 +38,18 @@ class TestWorkerProfile:
             dict(id=0, reputation=0.5, mu_max=2.5),
             dict(id=0, reputation=0.5, mu_max=float("inf")),
             dict(id=0, reputation=0.5, mu_max=float("nan")),
+            dict(id=0, reputation=0.5, mu_max=2**53 + 1),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             WorkerProfile(**kwargs)
+
+    def test_whole_float_capacity_is_stored_as_an_int_and_round_trips(self, tmp_path):
+        p = WorkerProfile(id=0, reputation=0.5, mu_max=3.0)
+        assert type(p.mu_max) is int
+        write_csv(str(tmp_path / "w.csv"), [p])
+        assert load_csv(str(tmp_path / "w.csv")) == [p]
 
 
 class TestComputeMu:

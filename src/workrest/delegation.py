@@ -25,38 +25,43 @@ def slot_workload(load_factor: float, omega: float) -> int:
 def apportion(w_req: int, weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Split ``w_req`` units proportionally to ``weights`` (largest remainder).
 
-    The weights must have a positive sum (a ``ValueError`` otherwise); in a
-    run they always do, as the collective capacity is positive and every
-    backlog finite. Remainder ties are awarded by descending weight then
-    ascending id, so a strictly heavier worker never receives less, and a
-    zero weight receives nothing. Output sums to ``w_req`` exactly.
+    The weights are non-negative, and a sum that is not positive is a
+    ``ValueError``; a run's never is, as the collective capacity is
+    positive and every backlog finite. Remainder ties are awarded by
+    descending weight then ascending id, so a strictly heavier worker never
+    receives less, and a zero weight receives nothing. Output sums to
+    ``w_req`` exactly.
     """
     total = float(weights.sum())
     if not total > 0.0:
         raise ValueError(f"delegation weights must have a positive sum, got {total}")
     n = len(weights)
     shares = w_req * weights / total
-    base = np.floor(shares).astype(np.int64)
-    remainders = shares - base
+    floors = np.floor(shares)
+    remainders = shares - floors
+    base = floors.astype(np.int64)
     # Every remainder is < 1, so the leftover fits in one award per worker.
     leftover = w_req - int(base.sum())
-    positive = int(np.count_nonzero(weights > 0.0))
-    if not 0 <= leftover <= positive:
-        raise ArithmeticError(f"largest-remainder leftover {leftover} outside [0, {positive}]")
+    if not 0 <= leftover <= n:
+        raise ArithmeticError(f"largest-remainder leftover {leftover} outside [0, {n}]")
     if leftover == 0:
         return base
     # Award order: remainder desc, weight desc, id asc. Select the
-    # leftover-th largest remainder in O(n), award every remainder above
-    # it, and order the workers tied at it if they outnumber the units
-    # left. Zero weights have remainder 0 and sort after every positive
-    # weight, so they never receive units.
+    # leftover-th largest remainder in O(n); a positive one has a
+    # positive weight, so only a zero cut can reach a zero weight.
     cut = np.partition(remainders, n - leftover)[n - leftover]
+    if cut == 0.0 and leftover > (positive := int(np.count_nonzero(weights > 0.0))):
+        raise ArithmeticError(f"largest-remainder leftover {leftover} outside [0, {positive}]")
+    award = remainders >= cut
+    if int(np.count_nonzero(award)) == leftover:
+        base += award
+        return base
+    # More workers tie at the cut than units are left, so order the tied
+    # ones; a zero weight sorts after every positive one.
     above = remainders > cut
     base += above
     tied = np.flatnonzero(remainders == cut)
-    rest = leftover - int(above.sum())
-    if len(tied) > rest:
-        tied = tied[np.lexsort((ids[tied], -weights[tied]))][:rest]
+    tied = tied[np.lexsort((ids[tied], -weights[tied]))][:leftover - int(above.sum())]
     base[tied] += 1
     return base
 

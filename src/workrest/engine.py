@@ -11,7 +11,7 @@ Each slot runs a fixed phase order over the whole population:
    than the deadline expire
 7. drift-bound diagnostics on the queues phases 5-6 computed; twice the
    Lyapunov value is carried as a running Python int
-8. state handoff and the slot report
+8. state handoff; ``run`` adds up the slot's totals (and keeps its report)
 
 State is held in flat arrays (one row per worker) so a slot is a handful
 of vector operations. Completions and expiry both remove a worker's
@@ -223,9 +223,10 @@ def drift_bound_sides(
 
 def _step_arrays(
     state: SimState, config: SimConfig, t: int, mood_source
-) -> tuple[SlotReport, bool]:
-    """One slot over the state arrays; returns the report and whether the
-    slot broke the drift bound (compared exactly)."""
+) -> tuple[int, int, int, float, float, int, int]:
+    """One slot over the state arrays; returns the slot's ``(completions,
+    expired, pending_total, effort_sum, expiry_ratio_sum, lhs2, rhs2)``,
+    the drift sides doubled as Python ints."""
     # Phase 1: delegation. Weights use the carried backlog.
     weights = delegation_weights(state.weighted_capacity, state.q)
     lam = apportion(state.w_req, weights, state.ids)
@@ -271,7 +272,7 @@ def _step_arrays(
         expired = np.maximum(0, q_next - (through_t - ring[:, (t + 1) % d]))
         expired_total = int(expired.sum())
         q_next -= expired
-        expiry_ratio_sum = float((expired[pending] / q_hat[pending]).sum())
+        expiry_ratio_sum = float((expired / np.maximum(q_hat, 1))[pending].sum())
 
     # Phase 7: drift from the carried queues to the slot's outgoing ones;
     # the arrival bound is the slot workload (one worker could receive all).
@@ -280,24 +281,12 @@ def _step_arrays(
         state.lyap2, max(1, state.w_req), state.mu_max_global,
     )
 
-    # Phase 8: state handoff and report.
+    # Phase 8: state handoff and the slot's totals.
     state.q = q_next
     state.Q = Q_next
     state.x_sum += x
     state.mu_sum += mu
-    report = SlotReport(
-        slot=t,
-        arrivals=state.w_req,
-        completions=completions,
-        expired=expired_total,
-        pending_total=n_total,
-        effort_sum=float(xi.sum()),
-        expiry_ratio_sum=expiry_ratio_sum,
-        lyapunov=state.lyap2 / 2.0,
-        drift_lhs=lhs2 / 2.0,
-        drift_rhs=rhs2 / 2.0,
-    )
-    return report, lhs2 > rhs2
+    return completions, expired_total, n_total, float(xi.sum()), expiry_ratio_sum, lhs2, rhs2
 
 
 @dataclass
@@ -359,16 +348,20 @@ def run(
     reports: list[SlotReport] = []
 
     for t in range(config.slots):
-        report, drift_violated = _step_arrays(state, config, t, mood_source)
-        effort_total += report.effort_sum
-        expiry_ratio_total += report.expiry_ratio_sum
-        if report.pending_total > 0:
-            completion_ratio_total += report.completions / report.pending_total
+        completions, expired, pending, effort, expiry_ratio, lhs2, rhs2 = _step_arrays(
+            state, config, t, mood_source)
+        effort_total += effort
+        expiry_ratio_total += expiry_ratio
+        if pending > 0:
+            completion_ratio_total += completions / pending
             slots_with_pending += 1
-        expired_total += report.expired
-        drift_violations += drift_violated
+        expired_total += expired
+        drift_violations += lhs2 > rhs2
         if keep_reports:
-            reports.append(report)
+            reports.append(SlotReport(
+                t, state.w_req, completions, expired, pending, effort, expiry_ratio,
+                state.lyap2 / 2.0, lhs2 / 2.0, rhs2 / 2.0,
+            ))
 
     metrics = RunMetrics(
         effort_avg=effort_total / (config.slots * n),

@@ -1,14 +1,14 @@
-"""Floor helpers that recover integer-valued products from rounded doubles.
+"""A floor for products whose decimal value is an integer but whose double is not.
 
-The task-output formula floors a product of the form ``min(1, q/d) * d``
-whose exact value is the integer ``q`` whenever the min does not clamp.
-IEEE doubles round the quotient, so the recomputed product lands up to a
-couple of ulps *below* q roughly half the time and a plain floor would
-drop a whole task. ``snap_floor_array`` rounds up when a value sits within
-a relative 2**-48 of the next integer, which is far above the worst-case
-drift of a divide/multiply round trip (a few ulps) and far below the
-spacing of the 0.01-granular mood/threshold grids used in experiments
-(>= 0.01 from any integer unless exactly integral).
+The policies floor two products of a fraction and a capacity: a working
+worker's output cap ``floor(mood * mu_max)`` and the ``mw`` threshold
+``floor(theta2 * mu_max)``. When the decimal product is an integer, the
+double can land an ulp *below* it (``0.29 * 100`` is ``28.999999999999996``)
+and a plain floor would drop a whole task. ``snap_floor_array`` rounds up
+when a value sits within a relative 2**-48 of the next integer, which is far
+above the rounding of one product (2**-53) and far below the spacing of the
+0.01-granular mood/threshold grids used in experiments (>= 0.01 from any
+integer unless exactly integral).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ conceptual queue Q, its mood m and its capacity mu_max with one rule:
     work = (q > 0)
          & (m >= theta1)
          & (q * floor(m * mu_max) >= mu_max * floor(theta2 * mu_max))
-         & (k - (q + w * Q) * m * mu_max < 0)
+         & ((q + w * Q) * m * mu_max > k)
 
 A kind sets the gates (theta1, theta2, k, w); every other gate is left at
 a value where it always passes (theta1 = theta2 = 0, k = -inf, w = 0):
@@ -19,7 +19,7 @@ a value where it always passes (theta1 = theta2 = 0, k = -inf, w = 0):
 
 A worker that works spends just enough effort to clear its backlog at the
 current mood, capped at 1 (and 1 when mood * mu_max is zero), and
-completes floor(effort * mood * mu_max) tasks.
+completes min(q, floor(mood * mu_max)) tasks.
 """
 
 from __future__ import annotations
@@ -83,21 +83,23 @@ def decide(
     mu_max: np.ndarray,
     floor=snap_floor_array,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-worker effort and tasks completed, for moods in [0, 1].
+    """Per-worker effort and tasks completed, for moods in [0, 1]: a worker
+    that works completes ``min(q, floor(m * mu_max))``, in integers.
 
     ``floor`` is the snapping floor; callers may pass their own binding of
     ``snap_floor_array`` so that its calls can be swapped out or timed.
     """
     theta1, theta2, k, w = params.gates
     d = m * mu_max
+    fd = floor(d)
     # A gate at its neutral value always passes for moods in [0, 1]; skip it.
     work = q > 0
     if theta1 > 0.0:
         work &= m >= theta1
     if k != -math.inf:
-        work &= k - (q + w * Q) * m * mu_max < 0.0
+        work &= (q + Q if w else q) * m * mu_max > k
     if theta2 > 0.0:
-        work &= q * floor(d) >= mu_max * floor(theta2 * mu_max)
-    # Working needs q >= 1, so min(1, q / 1) = 1 at d = 0; resting's 0.0 floors to 0.
-    effort = np.where(work, np.minimum(1.0, q / np.where(d > 0.0, d, 1.0)), 0.0)
-    return effort, floor(effort * d)
+        work &= q * fd >= mu_max * floor(theta2 * mu_max)
+    # The divisor is 1 at d = 0, where working needs q >= 1: effort min(1, q) = 1.
+    effort = work * np.minimum(1.0, q / (d + (d == 0.0)))
+    return effort, work * np.minimum(q, fd)

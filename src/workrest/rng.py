@@ -39,4 +39,4 @@ def uniform01_array(seed: int, worker_ids: np.ndarray, counter) -> np.ndarray:
         z ^= z >> np.uint64(27)
         z *= np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
-    return z / 2.0 ** 64
+    return z * 2.0 ** -64

@@ -348,6 +348,25 @@ class TestRunInvariants:
         assert a.metrics == b.metrics
         assert a.reports == b.reports
 
+    @pytest.mark.parametrize("deadline", [2, None])
+    def test_reports_are_optional_and_add_up_to_the_totals(self, deadline):
+        # A run without reports gives the same results, and the reports of
+        # a run that keeps them add up to its totals.
+        pop = [WorkerProfile(id=i, reputation=0.5 + 0.02 * i, mu_max=1 + i % 6) for i in range(25)]
+        config = SimConfig(slots=120, load_factor=0.8, policy=PolicyParams(kind="cpl", phi=10.0),
+                           seed=3, deadline=deadline)
+        kept, bare = run(config, pop), run(config, pop, keep_reports=False)
+        assert bare.reports == [] and [r.slot for r in kept.reports] == list(range(config.slots))
+        assert kept.metrics == bare.metrics
+        totals = [(r.arrivals_total, r.completions_total, r.expired_total, r.drift_violations)
+                  for r in (kept, bare)]
+        assert totals[0] == totals[1]
+        assert (kept.final_state.q == bare.final_state.q).all()
+        assert sum(r.completions for r in kept.reports) == kept.completions_total
+        assert sum(r.expired for r in kept.reports) == kept.expired_total
+        assert (kept.expired_total > 0) == (deadline is not None)
+        assert sum(r.drift_lhs > r.drift_rhs for r in kept.reports) == kept.drift_violations
+
     def test_seed_changes_results(self):
         pop = [WorkerProfile(id=i, reputation=0.8, mu_max=4) for i in range(10)]
         base = dict(slots=100, load_factor=0.5, policy=PolicyParams(kind="me"))

@@ -15,6 +15,7 @@ from oracle import (
     decide_me,
     decide_mt,
     decide_mw,
+    snap_floor,
     work_effort,
 )
 from workrest import policies
@@ -284,3 +285,52 @@ def test_gated_rule_matches_the_five_scalar_rules(params, rows):
     assert effort.tolist() == [d.effort for d in expected]
     assert completed.tolist() == [d.completed for d in expected]
     assert completed.dtype == np.int64
+
+
+def _boundary_rows():
+    """Rows where floor(m * mu_max) steps: moods at j / mu_max, one ulp either
+    side of it and on the 0.01 grid, capacities up to 2**40, and backlogs on
+    both sides of the (snapped and plain) floor of m * mu_max."""
+    rows = []
+    for mu_max in (1, 2, 3, 7, 10, 29, 100, 2**20 + 1, 2**40 - 1, 2**40):
+        steps = {j / mu_max for j in (1, 2, 3, mu_max // 3, mu_max // 2, mu_max - 1, mu_max)
+                 if 0 < j <= mu_max}
+        moods = {0.01 * k for k in range(101)} | {
+            float(mood) for s in steps
+            for mood in (np.nextafter(s, 0.0), s, min(1.0, np.nextafter(s, 2.0)))
+        }
+        for m in sorted(moods):
+            floors = {snap_floor(m * mu_max), math.floor(m * mu_max)}
+            backlogs = {0, 1} | {f + i for f in floors for i in (-1, 0, 1, 2) if f + i >= 0}
+            rows += [(q, Q, m, mu_max) for q in sorted(backlogs) for Q in (0, 7)]
+    return rows
+
+
+BOUNDARY_PARAMS = [
+    PolicyParams(kind="me"),
+    PolicyParams(kind="mt", theta1=0.5),
+    PolicyParams(kind="mt", theta1=1 / 3),
+    PolicyParams(kind="mw", theta2=0.29),
+    PolicyParams(kind="mw", theta2=0.5),
+    PolicyParams(kind="ac", sigma=1.0),
+    PolicyParams(kind="ac", sigma=50.0),
+    PolicyParams(kind="cpl", phi=2.0),
+    PolicyParams(kind="cpl", phi=50.0),
+]
+
+
+@pytest.mark.parametrize("params", BOUNDARY_PARAMS, ids=lambda p: f"{p.kind}-{p.knob_value:g}")
+def test_integer_completions_match_the_scalar_rule_at_floor_boundaries(params):
+    """The integer form min(q, floor(m * mu_max)) equals the scalar rule's
+    snapped floor(effort * m * mu_max), and every gate its scalar form, bit
+    for bit where the floors step."""
+    rows = _boundary_rows()
+    if params.kind == "mw":
+        # The gate's int64 products q * floor(m * mu_max) and mu_max *
+        # floor(theta2 * mu_max) stay below 2**63 in a run (SimState's bounds).
+        rows = [row for row in rows if max(row[0], row[3]) * row[3] < 2**63]
+    q, Q, m, mu_max = (np.array(col) for col in zip(*rows))
+    effort, completed = policies.decide(params, q, Q, m, mu_max)
+    expected = [decide(params, *row) for row in rows]
+    assert effort.tolist() == [d.effort for d in expected]
+    assert completed.tolist() == [d.completed for d in expected]

@@ -102,13 +102,10 @@ def _parse_dist(text: str) -> Distribution:
 
 
 def _resolve_population(args: argparse.Namespace):
-    if args.workers and args.gen_n:
-        raise ValueError("give either --workers or --gen-n, not both")
-    if args.workers:
+    """The population of ``--workers`` or ``--gen-n``; argparse requires one."""
+    if args.workers is not None:
         return load_csv(args.workers)
-    if args.gen_n:
-        return generate(PopulationSpec(count=args.gen_n, seed=args.seed))
-    raise ValueError("a population is required: --workers CSV or --gen-n N")
+    return generate(PopulationSpec(count=args.gen_n, seed=args.seed))
 
 
 def _build_policy(args: argparse.Namespace) -> PolicyParams:
@@ -209,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument("--seed", type=int, default=0)
     run_flags.add_argument("--deadline", type=_parse_deadline, default=3,
                            help="task deadline in slots, or 'inf' (default: 3)")
-    run_flags.add_argument("--workers", help="worker CSV path")
-    run_flags.add_argument("--gen-n", type=int, help="synthetic population size")
+    source = run_flags.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workers", help="worker CSV path")
+    source.add_argument("--gen-n", type=int, help="synthetic population size")
 
     gen = sub.add_parser("gen-workers", help="write a synthetic worker CSV")
     gen.add_argument("--n", type=int, required=True, help="population size")

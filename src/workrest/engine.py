@@ -36,12 +36,6 @@ from .policies import PolicyParams, decide
 from .rng import uniform01_array
 from .workers import WorkerProfile
 
-__all__ = [
-    "SimulationError", "SimConfig", "SlotReport", "RunMetrics", "SimState",
-    "CounterMoods", "drift_bound_sides", "run", "RunResult",
-]
-
-
 class SimulationError(RuntimeError):
     """A phase contract was violated mid-run (indicates a policy bug)."""
 
@@ -95,14 +89,14 @@ class RunMetrics:
 class SimState:
     """Per-worker queue state plus run-length accumulators.
 
-    ``deadline`` is the run's deadline when a task can reach it within the
-    run (``deadline <= slots``), and ``None`` otherwise: a longer one
-    expires nothing. With a deadline D, ``arrived[:, t % D]`` holds each
-    worker's cumulative arrivals through slot ``t``, for the last D slots
-    (column-major, so each slot's column is contiguous); without one,
-    ``arrived`` is ``None``. ``q`` is the carried backlog (before the
-    current slot's arrivals): the youngest tasks a worker was given, with
-    a deadline all delegated within the last D - 1 slots.
+    A deadline D binds when a task can reach it in the run (``D <= slots``;
+    a longer one expires nothing). Then ``arrived`` has D columns, and
+    ``arrived[:, t % D]`` holds each worker's cumulative arrivals through
+    slot ``t`` (column-major, so each slot's column is contiguous);
+    otherwise ``arrived`` is ``None``. ``q`` is the carried backlog (before
+    the current slot's arrivals): the youngest tasks a worker was given,
+    with a deadline all delegated within the last D - 1 slots. ``x_net``
+    sums each worker's ``x - mu``: ``Q`` without its floor at zero.
     ``weighted_capacity`` is each worker's r * mu_max, summing to omega.
     ``mu_max_global`` is the largest capacity, the drift diagnostics'
     uniform completion bound. ``lyap2`` is twice the Lyapunov value of
@@ -115,11 +109,9 @@ class SimState:
     arrived: np.ndarray | None
     q: np.ndarray
     Q: np.ndarray
-    x_sum: np.ndarray
-    mu_sum: np.ndarray
+    x_net: np.ndarray
     w_req: int
     mu_max_global: int
-    deadline: int | None
     lyap2: int = 0
 
     @classmethod
@@ -157,11 +149,9 @@ class SimState:
             arrived=None if deadline is None else np.zeros((n, deadline), np.int64, order="F"),
             q=np.zeros(n, dtype=np.int64),
             Q=np.zeros(n, dtype=np.int64),
-            x_sum=np.zeros(n, dtype=np.int64),
-            mu_sum=np.zeros(n, dtype=np.int64),
+            x_net=np.zeros(n, dtype=np.int64),
             w_req=w_req,
             mu_max_global=g,
-            deadline=deadline,
         )
 
 
@@ -255,15 +245,16 @@ def _step_arrays(
     # Phase 5: conceptual queues, from this slot's backlog and completions.
     pending = q_hat > 0
     x = state.mu_max * (pending & (mu == 0))
-    Q_next = np.maximum(0, state.Q + x - mu)
+    net = x - mu
+    Q_next = np.maximum(0, state.Q + net)
 
     # Phase 6: the backlog is each worker's youngest tasks, so with a
     # deadline D those delegated before the last D - 1 slots (this one
     # included) expire: the oldest ones, as a cohort FIFO would age them out.
     completions, expired_total, expiry_ratio_sum = int(mu.sum()), 0, 0.0
     q_next = q_hat - mu
-    if state.deadline is not None:
-        ring, d = state.arrived, state.deadline
+    if state.arrived is not None:
+        ring, d = state.arrived, state.arrived.shape[1]
         through_t = ring[:, (t - 1) % d] + lam
         # Every pending task was delegated within the last D slots.
         if (q_hat > through_t - ring[:, t % d]).any():
@@ -284,8 +275,7 @@ def _step_arrays(
     # Phase 8: state handoff and the slot's totals.
     state.q = q_next
     state.Q = Q_next
-    state.x_sum += x
-    state.mu_sum += mu
+    state.x_net += net
     return completions, expired_total, n_total, float(xi.sum()), expiry_ratio_sum, lhs2, rhs2
 
 
@@ -312,8 +302,7 @@ class RunResult:
 
     def stability_margins(self) -> np.ndarray:
         """Per-worker Q(T) - (sum x - sum mu); non-negative on every run."""
-        s = self.final_state
-        return s.Q - (s.x_sum - s.mu_sum)
+        return self.final_state.Q - self.final_state.x_net
 
 
 def run(
@@ -339,12 +328,8 @@ def run(
         mood_source = CounterMoods(config.seed)
     n = len(state.ids)
 
-    effort_total = 0.0
-    expiry_ratio_total = 0.0
-    completion_ratio_total = 0.0
-    slots_with_pending = 0
-    expired_total = 0
-    drift_violations = 0
+    effort_total = expiry_ratio_total = completion_ratio_total = 0.0
+    slots_with_pending = completions_total = expired_total = drift_violations = 0
     reports: list[SlotReport] = []
 
     for t in range(config.slots):
@@ -355,6 +340,7 @@ def run(
         if pending > 0:
             completion_ratio_total += completions / pending
             slots_with_pending += 1
+        completions_total += completions
         expired_total += expired
         drift_violations += lhs2 > rhs2
         if keep_reports:
@@ -376,7 +362,7 @@ def run(
         reports=reports,
         final_state=state,
         arrivals_total=config.slots * state.w_req,
-        completions_total=int(state.mu_sum.sum()),
+        completions_total=completions_total,
         expired_total=expired_total,
         drift_violations=drift_violations,
     )

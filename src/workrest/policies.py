@@ -88,6 +88,7 @@ def decide(
 
     ``floor`` is the snapping floor; callers may pass their own binding of
     ``snap_floor_array`` so that its calls can be swapped out or timed.
+    Raises ``ValueError`` where the ``mw`` gate's int64 products could wrap.
     """
     theta1, theta2, k, w = params.gates
     d = m * mu_max
@@ -99,6 +100,11 @@ def decide(
     if k != -math.inf:
         work &= (q + Q if w else q) * m * mu_max > k
     if theta2 > 0.0:
+        # Both int64 products are at most max(q, mu_max) * mu_max, below 2**63 in a run:
+        # SimState.from_population keeps q <= backlog_cap and backlog_cap * g, g**2 < 2**63.
+        top = int(mu_max.max())
+        if (bound := max(int(q.max()), top) * top) >= 2**63:
+            raise ValueError(f"mw gate products may reach {bound}, beyond int64 (2**63)")
         work &= q * fd >= mu_max * floor(theta2 * mu_max)
     # The divisor is 1 at d = 0, where working needs q >= 1: effort min(1, q) = 1.
     effort = work * np.minimum(1.0, q / (d + (d == 0.0)))

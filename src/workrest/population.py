@@ -39,7 +39,7 @@ class Distribution:
 @dataclass(frozen=True)
 class PopulationSpec:
     """Synthetic-population recipe: size, distributions and a seed. Capacities
-    are uniform integers on ``[lo, hi]``, whole numbers in [1, 2**53]."""
+    are uniform integers on ``[lo, hi]``."""
 
     count: int
     reputation_dist: Distribution = Distribution(0.5, 1.0)
@@ -49,13 +49,10 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if not (0.0 <= self.reputation_dist.lo and self.reputation_dist.hi <= 1.0):
-            raise ValueError("reputation distribution support must be within [0, 1]")
-        lo, hi = self.mu_max_dist.lo, self.mu_max_dist.hi
-        if not all(1 <= b <= 2**53 and b % 1 == 0 for b in (lo, hi)):
-            raise ValueError(
-                f"mu_max distribution bounds must be whole numbers in [1, 2**53], got [{lo}, {hi}]"
-            )
+        # Every profile drawn lies between these two corners.
+        rep, cap = self.reputation_dist, self.mu_max_dist
+        WorkerProfile(id=0, reputation=rep.lo, mu_max=cap.lo)
+        WorkerProfile(id=0, reputation=rep.hi, mu_max=cap.hi)
 
 
 def generate(spec: PopulationSpec) -> list[WorkerProfile]:

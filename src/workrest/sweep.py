@@ -262,14 +262,21 @@ def parse_sweep_csv(text: str) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """Per-policy aggregate over its grid rows."""
+    """Per-policy aggregate over its grid rows; ``region`` places the ratio
+    against the linear-productivity diagonal."""
 
     policy: str
     mean_expiry_avg: float
     mean_effort_pct_of_me: float | None
     mean_completion_pct_of_me: float | None
     superlinearity_ratio: float | None
-    region: str
+
+    @property
+    def region(self) -> str:
+        ratio = self.superlinearity_ratio
+        if ratio is None:
+            return _NA.lower()
+        return "superlinear" if ratio > 1.0 else ("sublinear" if ratio < 1.0 else "linear")
 
 
 def aggregate_report(rows: Sequence[SweepRow]) -> list[ReportRow]:
@@ -293,12 +300,8 @@ def aggregate_report(rows: Sequence[SweepRow]) -> list[ReportRow]:
         ]
         mean_effort = float(np.mean(efforts)) if efforts else None
         mean_completion = float(np.mean(completions)) if completions else None
-        if mean_effort is not None and mean_effort != 0.0 and mean_completion is not None:
-            ratio = mean_completion / mean_effort
-            region = "superlinear" if ratio > 1.0 else ("sublinear" if ratio < 1.0 else "linear")
-        else:
-            ratio = None
-            region = _NA.lower()
+        has_ratio = mean_effort and mean_completion is not None  # no ratio at 0.0 effort
+        ratio = mean_completion / mean_effort if has_ratio else None
         out.append(
             ReportRow(
                 policy=policy,
@@ -306,7 +309,6 @@ def aggregate_report(rows: Sequence[SweepRow]) -> list[ReportRow]:
                 mean_effort_pct_of_me=mean_effort,
                 mean_completion_pct_of_me=mean_completion,
                 superlinearity_ratio=ratio,
-                region=region,
             )
         )
     return out

@@ -185,18 +185,20 @@ def to_worker_states(state: SimState, slots: int) -> list[WorkerState]:
     """Export the engine's per-worker states after ``slots`` slots as
     oldest-first cohort FIFOs.
 
-    With a deadline D a worker's backlog ``q`` is its youngest tasks, so the
-    cohorts are the arrivals of its last D - 1 slots, taken newest first
-    until they hold ``q``. Without one ages are not engine state, and the
-    backlog is one cohort of age 0.
+    With a binding deadline D (the ``D`` columns of ``state.arrived``) a
+    worker's backlog ``q`` is its youngest tasks, so the cohorts are the
+    arrivals of its last D - 1 slots, taken newest first until they hold
+    ``q``. Without one (``state.arrived`` is ``None``) ages are not engine
+    state, and the backlog is one cohort of age 0.
     """
     out = []
     for i in range(len(state.ids)):
         q = int(state.q[i])
-        if state.deadline is None:
+        if state.arrived is None:
             backlog = [TaskCohort(count=q)] if q else []
         else:
-            backlog, d, arrived, left = [], state.deadline, state.arrived[i].tolist(), q
+            arrived, backlog, left = state.arrived[i].tolist(), [], q
+            d = len(arrived)
             for s in range(slots - 1, slots - d, -1):
                 take = min(arrived[s % d] - arrived[(s - 1) % d], left)
                 if take:

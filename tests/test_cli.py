@@ -85,7 +85,7 @@ class TestGenWorkers:
     def test_capacity_support_outside_whole_numbers_is_usage_error(self, tmp_path, capsys, dist):
         out = tmp_path / "w.csv"
         assert run_cli("gen-workers", "--n", "3", "--mu-max-dist", dist, "--out", str(out)) == 2
-        assert "mu_max distribution bounds must be whole numbers in [1, 2**53]" in (
+        assert "mu_max must be a whole number in [1, 2**53]" in (
             capsys.readouterr().err
         )
         assert not out.exists()
@@ -346,8 +346,8 @@ class TestSweepAndReport:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 1 + 3
-        assert cli.build_parser().parse_args(["sweep", "--phi-grid", "5,,25"]).phi_grid == (
-            5.0, 25.0)
+        args = cli.build_parser().parse_args(["sweep", "--phi-grid", "5,,25", "--gen-n", "1"])
+        assert args.phi_grid == (5.0, 25.0)
 
     @pytest.mark.parametrize("text,grid", [
         # accumulating the step drifted off the lattice and, at 9999, lost the stop
@@ -359,7 +359,8 @@ class TestSweepAndReport:
         ("0:5e-10:1e-10", tuple(i / 1e10 for i in range(6))),
     ])
     def test_range_values_are_computed_by_index(self, text, grid):
-        assert cli.build_parser().parse_args(["sweep", "--phi-grid", text]).phi_grid == grid
+        args = cli.build_parser().parse_args(["sweep", "--phi-grid", text, "--gen-n", "1"])
+        assert args.phi_grid == grid
 
     @pytest.mark.parametrize("grids,named", [
         (["--phi-grid", "1:1e12:1"],
@@ -447,7 +448,10 @@ class TestUsageErrors:
                                  ["simulate", "@{tmp}/run.args", "--gen-n", "5"],
                                  ["unrecognized arguments: "]),
         "workers-and-gen-n": ({}, [*SIMULATE_ME, "--workers", "{tmp}/w.csv", "--gen-n", "5"],
-                              ["give either --workers or --gen-n, not both"]),
+                              ["argument --gen-n: not allowed with argument --workers"]),
+        "no-population": ({}, SIMULATE_ME,
+                          ["one of the arguments --workers --gen-n is required"]),
+        "gen-n-zero": ({}, [*SIMULATE_ME, "--gen-n", "0"], ["count must be >= 1, got 0"]),
         "workers-empty": ({"w.csv": ""}, [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
                           ["w.csv: empty file, expected header"]),
         "workers-two-fields": ({"w.csv": HEADER + "0,0.5,3\n\n2,0.5\n"},
@@ -486,7 +490,7 @@ class TestExperimentConfigs:
 
     def test_no_grid_flags_resolve_to_the_default_grid(self):
         args = cli.build_parser().parse_args(
-            ["sweep", "--slots", "40", "--seed", "3", "--deadline", "inf"])
+            ["sweep", "--slots", "40", "--seed", "3", "--deadline", "inf", "--gen-n", "1"])
         assert cli._sweep_spec(args) == SweepSpec(slots=40, seed=3, deadline=None)
 
     def test_desk_config_resolves_to_the_acceptance_grid(self):
@@ -495,6 +499,11 @@ class TestExperimentConfigs:
         args = cli.build_parser().parse_args(["sweep", f"@{RESULTS / 'desk.args'}"])
         assert cli._sweep_spec(args) == desk_sweep_spec()
         assert (args.gen_n, args.workers, args.seed) == (DESK_N, None, DESK_SEED)
+
+    def test_population_flag_after_the_file_wins(self):
+        argv = ["sweep", f"@{RESULTS / 'desk.args'}", "--gen-n", "20"]
+        args = cli.build_parser().parse_args(argv)
+        assert (args.gen_n, args.workers) == (20, None)
 
     def test_desk_fixture_reproduces_the_committed_results(self, desk):
         # the grid order and the CSV writers, byte for byte

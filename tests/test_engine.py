@@ -223,7 +223,7 @@ class TestEngineMatchesScalarOracle:
         # a binding deadline ages are not engine state, so only the queues compare
         final_workers = to_worker_states(result.final_state, slots)
         assert oracle.compute_lyapunov(final_workers) == result.reports[-1].lyapunov
-        if result.final_state.deadline is None:
+        if result.final_state.arrived is None:
             final = result.final_state
             assert list(zip(final.q.tolist(), final.Q.tolist())) == [
                 (s.q, s.conceptual_q) for s in ref.states
@@ -367,6 +367,19 @@ class TestRunInvariants:
         assert (kept.expired_total > 0) == (deadline is not None)
         assert sum(r.drift_lhs > r.drift_rhs for r in kept.reports) == kept.drift_violations
 
+    @pytest.mark.parametrize("deadline", [2, None])
+    def test_ledger_is_the_traced_sums(self, deadline):
+        # The margins are Q(T) less the traced sum of x - mu, floored at zero
+        # on some workers, and the completions are the traced mu summed.
+        pop = [WorkerProfile(id=i, reputation=0.5 + 0.02 * i, mu_max=1 + i % 6) for i in range(25)]
+        config = SimConfig(slots=120, load_factor=0.8, policy=PolicyParams(kind="cpl", phi=10.0),
+                           seed=3, deadline=deadline)
+        res, trace = traced_run(config, pop, keep_reports=False)
+        margins = trace["Q_end"][-1] - (trace["x"] - trace["mu"]).sum(axis=0)
+        assert res.stability_margins().tolist() == margins.tolist()
+        assert (margins > 0).any()
+        assert res.completions_total == int(trace["mu"].sum())
+
     def test_seed_changes_results(self):
         pop = [WorkerProfile(id=i, reputation=0.8, mu_max=4) for i in range(10)]
         base = dict(slots=100, load_factor=0.5, policy=PolicyParams(kind="me"))
@@ -487,8 +500,7 @@ class TestNoDeadline:
                           deadline=deadline), pop)
             for deadline in (10**9, None)
         ]
-        assert [r.final_state.deadline for r in runs] == [None, None]
-        assert runs[0].final_state.arrived is None
+        assert [r.final_state.arrived for r in runs] == [None, None]
         assert runs[0].reports == runs[1].reports
         assert runs[0].metrics == runs[1].metrics
 

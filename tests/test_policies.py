@@ -327,8 +327,15 @@ def test_integer_completions_match_the_scalar_rule_at_floor_boundaries(params):
     rows = _boundary_rows()
     if params.kind == "mw":
         # The gate's int64 products q * floor(m * mu_max) and mu_max *
-        # floor(theta2 * mu_max) stay below 2**63 in a run (SimState's bounds).
-        rows = [row for row in rows if max(row[0], row[3]) * row[3] < 2**63]
+        # floor(theta2 * mu_max) are at most max(q, mu_max) * mu_max, below
+        # 2**63 in a run (SimState's bounds); a row beyond raises, not wraps.
+        def fits(row):
+            return max(row[0], row[3]) * row[3] < 2**63
+
+        for row in (row for row in rows if not fits(row)):
+            with pytest.raises(ValueError, match=r"beyond int64 \(2\*\*63\)"):
+                policies.decide(params, *(np.array([value]) for value in row))
+        rows = [row for row in rows if fits(row)]
     q, Q, m, mu_max = (np.array(col) for col in zip(*rows))
     effort, completed = policies.decide(params, q, Q, m, mu_max)
     expected = [decide(params, *row) for row in rows]

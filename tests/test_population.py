@@ -112,18 +112,22 @@ class TestGenerate:
         assert {p.mu_max for p in pop} == set(range(1, 11))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        # A spec is valid when its two corner profiles, (lo, lo) and (hi, hi), are.
+        capacity = r"mu_max must be a whole number in \[1, 2\*\*53\], got "
+        with pytest.raises(ValueError, match="count must be >= 1"):
             PopulationSpec(count=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"reputation must be in \[0, 1\], got 1.5"):
             PopulationSpec(count=3, reputation_dist=Distribution(0.5, 1.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"reputation must be in \[0, 1\], got -0.1"):
+            PopulationSpec(count=3, reputation_dist=Distribution(-0.1, 0.5))
+        with pytest.raises(ValueError, match=capacity):
             PopulationSpec(count=3, mu_max_dist=Distribution.constant(0))
         with pytest.raises(ValueError, match=r"out of order: \[5, 1\]"):
             Distribution(5, 1)
         inf, nan = float("inf"), float("nan")
         for lo, hi in [(0, 5), (1.5, 1.5), (1.5, 10), (1, 10.5), (inf, inf), (1, inf),
                        (nan, nan), (1, 1e30), (1, 2**53 + 2)]:
-            with pytest.raises(ValueError, match=r"whole numbers in \[1, 2\*\*53\], got \["):
+            with pytest.raises(ValueError, match=capacity):
                 PopulationSpec(count=3, mu_max_dist=Distribution(lo, hi))
 
     def test_capacity_bounds_at_the_limits(self):

@@ -63,10 +63,7 @@ def generate(spec: PopulationSpec) -> list[WorkerProfile]:
     rep, lo, hi = spec.reputation_dist, int(spec.mu_max_dist.lo), int(spec.mu_max_dist.hi)
     reps = rep.lo + (rep.hi - rep.lo) * u
     caps = np.minimum(hi, lo + (v * (hi - lo + 1)).astype(np.int64))
-    return [
-        WorkerProfile(id=i, reputation=r, mu_max=c)
-        for i, (r, c) in enumerate(zip(reps.tolist(), caps.tolist()))
-    ]
+    return list(map(WorkerProfile, range(spec.count), reps.tolist(), caps.tolist()))
 
 
 def load_csv(path: str) -> list[WorkerProfile]:
@@ -78,39 +75,34 @@ def load_csv(path: str) -> list[WorkerProfile]:
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
         if header != CSV_HEADER:
-            raise ValueError(
-                f"{path}: bad header {header!r}, expected {CSV_HEADER}"
-            )
+            raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
         profiles: list[WorkerProfile] = []
         seen: set[int] = set()
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
             if len(row) != 3:
+                if not row:
+                    continue
                 raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
             try:
-                worker_id = int(row[0])
-                reputation = float(row[1])
-                mu_max = int(row[2])
+                worker_id, reputation, mu_max = int(row[0]), float(row[1]), int(row[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from None
             if worker_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate worker id {worker_id}")
             try:
-                profile = WorkerProfile(id=worker_id, reputation=reputation, mu_max=mu_max)
+                profiles.append(WorkerProfile(worker_id, reputation, mu_max))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             seen.add(worker_id)
-            profiles.append(profile)
     if not profiles:
         raise ValueError(f"{path}: no worker rows")
     return profiles
 
 
 def write_csv(path: str, population: Sequence[WorkerProfile]) -> None:
-    """Write the canonical worker CSV (round-trips exactly via repr floats)."""
+    """Write the canonical worker CSV, which round-trips exactly (floats as reprs)."""
+    if not population:
+        raise ValueError("cannot write an empty population: a worker CSV needs a row")
+    rows = "".join([f"{p.id},{p.reputation!r},{p.mu_max}\n" for p in population])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for p in population:
-            writer.writerow([p.id, repr(p.reputation), p.mu_max])
+        fh.write(",".join(CSV_HEADER) + "\n" + rows)

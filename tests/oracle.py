@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from workrest.engine import SimState
-from workrest.numerics import SNAP_RTOL
+from workrest.numerics import SNAP_RTOL, SNAP_SCALE_CAP
 from workrest.policies import PolicyParams
 from workrest.population import PopulationSpec
 from workrest.rng import (
@@ -32,7 +32,7 @@ def snap_floor(x: float) -> int:
     if x < 0.0:
         raise ValueError(f"snap_floor expects a non-negative value, got {x}")
     f = math.floor(x)
-    if (f + 1) - x <= max(x, 1.0) * SNAP_RTOL:
+    if (f + 1) - x <= min(max(x, 1.0), SNAP_SCALE_CAP) * SNAP_RTOL:
         return f + 1
     return f
 

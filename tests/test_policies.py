@@ -341,3 +341,13 @@ def test_integer_completions_match_the_scalar_rule_at_floor_boundaries(params):
     expected = [decide(params, *row) for row in rows]
     assert effort.tolist() == [d.effort for d in expected]
     assert completed.tolist() == [d.completed for d in expected]
+
+
+def test_completions_never_exceed_a_capacity_beyond_2_48():
+    # At a capacity of 2**50 a full mood gives d = 2**50 exactly; a snap window
+    # that reached a whole unit would complete 2**50 + 1 tasks.
+    effort, completed = policies.decide(
+        PolicyParams("me"), np.array([2**51]), np.array([0]), np.array([1.0]), np.array([2**50])
+    )
+    assert effort.tolist() == [1.0]
+    assert completed.tolist() == [2**50]

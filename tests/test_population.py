@@ -12,6 +12,7 @@ from workrest.population import (
     load_csv,
     write_csv,
 )
+from workrest.workers import WorkerProfile
 
 
 class TestLoadCsv:
@@ -63,6 +64,25 @@ class TestLoadCsv:
         path.write_text("worker_id,reputation,mu_max\n9,0.5,1\n2,0.25,2\n5,1.0,3\n")
         assert [p.id for p in load_csv(str(path))] == [9, 2, 5]
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # a malformed line 3 before a duplicate on line 5
+            (["0,0.5,1", "x,0.5,1", "1,0.5,2", "0,0.5,3"],
+             r":3: malformed row \['x', '0.5', '1'\]: invalid literal for int"),
+            # a duplicate on line 3 before a short row on line 4
+            (["0,0.5,1", "0,0.5,2", "1,0.5"], r":3: duplicate worker id 0$"),
+            # a blank line is skipped but counted: a long row on line 3 before a
+            # duplicate on line 5
+            (["", "0,0.5,1,9", "0,0.5,1", "0,0.5,1"], r":3: expected 3 fields, got 4$"),
+        ],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, lines, message):
+        path = tmp_path / "w.csv"
+        path.write_text("worker_id,reputation,mu_max\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_csv(str(path))
+
 
 class TestRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path):
@@ -70,6 +90,33 @@ class TestRoundTrip:
         path = tmp_path / "w.csv"
         write_csv(str(path), pop)
         assert load_csv(str(path)) == pop
+
+    def test_write_pins_the_bytes(self, tmp_path):
+        # The header, then f"{id},{reputation!r},{mu_max}\n" per profile.
+        pop = [
+            WorkerProfile(0, 0.0, 1),
+            WorkerProfile(7, 1.0, 10),
+            WorkerProfile(2, 1e-05, 2**31),
+            WorkerProfile(2**63 - 1, 0.1 + 0.2, 2**53 - 1),
+            WorkerProfile(3, 5e-324, 2**53),
+        ]
+        path = tmp_path / "w.csv"
+        write_csv(str(path), pop)
+        assert path.read_bytes() == (
+            b"worker_id,reputation,mu_max\n"
+            b"0,0.0,1\n"
+            b"7,1.0,10\n"
+            b"2,1e-05,2147483648\n"
+            b"9223372036854775807,0.30000000000000004,9007199254740991\n"
+            b"3,5e-324,9007199254740992\n"
+        )
+        assert load_csv(str(path)) == pop
+
+    def test_empty_population_is_not_written(self, tmp_path):
+        path = tmp_path / "w.csv"
+        with pytest.raises(ValueError, match="empty population"):
+            write_csv(str(path), [])
+        assert not path.exists()
 
     def test_write_is_deterministic(self, tmp_path):
         pop = generate(PopulationSpec(count=10, seed=3))

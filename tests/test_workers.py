@@ -246,3 +246,13 @@ def test_snap_floor_recovers_integer_products():
         snap_floor(-0.5)
     values = [(1 / 1.38) * 1.38, 2.999999999999999, 2.9, 3.0, 0.9999999999999999, 0.5]
     assert snap_floor_array(np.array(values)).tolist() == [snap_floor(v) for v in values]
+
+
+@pytest.mark.parametrize("e", [47, 48, 50, 52])
+def test_snap_floor_keeps_large_integers(e):
+    # The window stops growing at 1/2, so an exact integer is never bumped up,
+    # while a value one ulp below 2**e still snaps to it.
+    values = [2.0**e - 1, 2.0**e, 2.0**e + 1, float(np.nextafter(2.0**e, 0.0))]
+    want = [2**e - 1, 2**e, 2**e + 1, 2**e]
+    assert snap_floor_array(np.array(values)).tolist() == want
+    assert [snap_floor(v) for v in values] == want

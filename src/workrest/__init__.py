@@ -13,7 +13,7 @@ from .engine import (
     run,
 )
 from .policies import POLICY_KINDS, PolicyParams, decide
-from .population import Distribution, PopulationSpec, generate, load_csv, write_csv
+from .population import PopulationSpec, WorkerProfile, generate, load_csv, write_csv
 from .sweep import (
     ReportRow,
     SweepRow,
@@ -24,6 +24,5 @@ from .sweep import (
     run_sweep,
     sweep_rows_to_csv,
 )
-from .workers import WorkerProfile
 
 __version__ = "0.1.0"

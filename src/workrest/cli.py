@@ -22,7 +22,7 @@ import sys
 
 from .engine import SimConfig, SimulationError, run
 from .policies import KNOB_FIELDS, PolicyParams
-from .population import Distribution, PopulationSpec, generate, load_csv, write_csv
+from .population import PopulationSpec, generate, load_csv, write_csv
 from .sweep import (
     MAX_GRID_POINTS,
     PointDiagnostics,
@@ -88,14 +88,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _parse_dist(text: str) -> Distribution:
+def _parse_dist(text: str) -> tuple[float, float]:
+    """A ``(lo, hi)`` range: ``const:V`` is ``(V, V)``."""
     kind, _, args = text.partition(":")
     try:
         if kind == "const":
-            return Distribution.constant(float(args))
+            return (float(args),) * 2
         if kind == "uniform":
             lo, hi = (float(v) for v in args.split(","))
-            return Distribution(lo, hi)
+            return lo, hi
     except ValueError as exc:
         raise ValueError(f"bad distribution {text!r}: {exc}") from None
     raise ValueError(f"bad distribution {text!r}, expected const:V or uniform:LO,HI")
@@ -137,13 +138,11 @@ def _print_health(diagnostics: list[PointDiagnostics]) -> int:
 
 
 def cmd_gen_workers(args: argparse.Namespace) -> int:
-    spec = PopulationSpec(
-        count=args.n,
-        reputation_dist=_parse_dist(args.rep_dist),
-        mu_max_dist=_parse_dist(args.mu_max_dist),
-        seed=args.seed,
-    )
-    write_csv(args.out, generate(spec))
+    """The ranges of the flags that were given; ``PopulationSpec`` fills in the rest."""
+    ranges = {field: _parse_dist(text) for field, text in
+              [("reputation_dist", args.rep_dist), ("mu_max_dist", args.mu_max_dist)]
+              if text is not None}
+    write_csv(args.out, generate(PopulationSpec(count=args.n, seed=args.seed, **ranges)))
     return 0
 
 
@@ -202,20 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # simulate's and sweep's shared flags.
     run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("--slots", type=int, default=10_000)
-    run_flags.add_argument("--seed", type=int, default=0)
-    run_flags.add_argument("--deadline", type=_parse_deadline, default=3,
-                           help="task deadline in slots, or 'inf' (default: 3)")
+    run_flags.add_argument("--slots", type=int, default=SweepSpec.slots)
+    run_flags.add_argument("--seed", type=int, default=SweepSpec.seed)
+    run_flags.add_argument("--deadline", type=_parse_deadline, default=SweepSpec.deadline,
+                           help="task deadline in slots, or 'inf' (default: %(default)s)")
     source = run_flags.add_mutually_exclusive_group(required=True)
     source.add_argument("--workers", help="worker CSV path")
     source.add_argument("--gen-n", type=int, help="synthetic population size")
 
     gen = sub.add_parser("gen-workers", help="write a synthetic worker CSV")
     gen.add_argument("--n", type=int, required=True, help="population size")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--rep-dist", default="uniform:0.5,1.0",
-                     help="reputation distribution: const:V or uniform:LO,HI")
-    gen.add_argument("--mu-max-dist", default="uniform:1,10",
+    gen.add_argument("--seed", type=int, default=PopulationSpec.seed)
+    gen.add_argument("--rep-dist", help="reputation distribution: const:V or uniform:LO,HI")
+    gen.add_argument("--mu-max-dist",
                      help="capacity distribution: const:V or uniform:LO,HI "
                           "(whole numbers in [1, 2**53])")
     gen.add_argument("--out", required=True)

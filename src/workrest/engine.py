@@ -33,8 +33,8 @@ import numpy as np
 from .delegation import apportion, delegation_weights, slot_workload
 from .numerics import snap_floor_array
 from .policies import PolicyParams, decide
+from .population import WorkerProfile
 from .rng import uniform01_array
-from .workers import WorkerProfile
 
 class SimulationError(RuntimeError):
     """A phase contract was violated mid-run (indicates a policy bug)."""

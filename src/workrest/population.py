@@ -1,9 +1,11 @@
-"""Worker populations: CSV interchange and synthetic generation.
+"""Worker populations: the worker record, CSV interchange and synthetic generation.
 
-The canonical interchange format is a UTF-8 CSV with the exact header
-``worker_id,reputation,mu_max``. Synthetic populations are deterministic
-functions of a seed, drawn from the same counter-based generator family
-as per-slot moods but on dedicated streams.
+A worker is its id, reputation and per-slot capacity; its queues live as
+population-wide arrays in ``engine.SimState``. The canonical interchange
+format is a UTF-8 CSV with the exact header ``worker_id,reputation,mu_max``.
+Synthetic populations are deterministic functions of a seed, drawn from
+the same counter-based generator family as per-slot moods but on
+dedicated streams.
 """
 
 from __future__ import annotations
@@ -15,44 +17,49 @@ from typing import Sequence
 import numpy as np
 
 from .rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01_array
-from .workers import WorkerProfile
 
 CSV_HEADER = ["worker_id", "reputation", "mu_max"]
 
 
 @dataclass(frozen=True)
-class Distribution:
-    """Uniform on ``[lo, hi]``; ``constant(value)`` is the range ``[value, value]``."""
+class WorkerProfile:
+    """Immutable worker identity: reputation and whole per-slot capacity (an int)."""
 
-    lo: float
-    hi: float
+    id: int
+    reputation: float
+    mu_max: int
 
     def __post_init__(self) -> None:
-        if self.hi < self.lo:
-            raise ValueError(f"uniform bounds out of order: [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def constant(cls, value: float) -> "Distribution":
-        return cls(value, value)
+        if not 0 <= self.id < 2**63:
+            raise ValueError(f"worker id must be in [0, 2**63), got {self.id}")
+        if not 0.0 <= self.reputation <= 1.0:
+            raise ValueError(f"reputation must be in [0, 1], got {self.reputation}")
+        if not (1 <= self.mu_max <= 2**53 and self.mu_max % 1 == 0):
+            raise ValueError(f"mu_max must be a whole number in [1, 2**53], got {self.mu_max}")
+        if type(self.mu_max) is not int:
+            object.__setattr__(self, "mu_max", int(self.mu_max))
 
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Synthetic-population recipe: size, distributions and a seed. Capacities
-    are uniform integers on ``[lo, hi]``."""
+    """Synthetic-population recipe: size, two uniform ``(lo, hi)`` ranges and a
+    seed. Reputations are uniform on their range, capacities uniform integers
+    on ``[lo, hi]``."""
 
     count: int
-    reputation_dist: Distribution = Distribution(0.5, 1.0)
-    mu_max_dist: Distribution = Distribution(1, 10)
+    reputation_dist: tuple[float, float] = (0.5, 1.0)
+    mu_max_dist: tuple[float, float] = (1, 10)
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        # Every profile drawn lies between these two corners.
-        rep, cap = self.reputation_dist, self.mu_max_dist
-        WorkerProfile(id=0, reputation=rep.lo, mu_max=cap.lo)
-        WorkerProfile(id=0, reputation=rep.hi, mu_max=cap.hi)
+        for lo, hi in (self.reputation_dist, self.mu_max_dist):
+            if hi < lo:
+                raise ValueError(f"uniform bounds out of order: [{lo}, {hi}]")
+        # Every profile drawn lies between the corners (lo, lo) and (hi, hi).
+        for reputation, mu_max in zip(self.reputation_dist, self.mu_max_dist):
+            WorkerProfile(0, reputation, mu_max)
 
 
 def generate(spec: PopulationSpec) -> list[WorkerProfile]:
@@ -60,8 +67,8 @@ def generate(spec: PopulationSpec) -> list[WorkerProfile]:
     ids = np.arange(spec.count, dtype=np.uint64)
     u = uniform01_array(spec.seed, ids, REPUTATION_STREAM)
     v = uniform01_array(spec.seed, ids, MU_MAX_STREAM)
-    rep, lo, hi = spec.reputation_dist, int(spec.mu_max_dist.lo), int(spec.mu_max_dist.hi)
-    reps = rep.lo + (rep.hi - rep.lo) * u
+    (rep_lo, rep_hi), (lo, hi) = spec.reputation_dist, map(int, spec.mu_max_dist)
+    reps = rep_lo + (rep_hi - rep_lo) * u
     caps = np.minimum(hi, lo + (v * (hi - lo + 1)).astype(np.int64))
     return list(map(WorkerProfile, range(spec.count), reps.tolist(), caps.tolist()))
 
@@ -78,7 +85,8 @@ def load_csv(path: str) -> list[WorkerProfile]:
             raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
         profiles: list[WorkerProfile] = []
         seen: set[int] = set()
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the file line the record ends on
             if len(row) != 3:
                 if not row:
                     continue

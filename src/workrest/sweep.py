@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import RunMetrics, RunResult, SimConfig, SimulationError, run
 from .policies import KNOB_FIELDS, POLICY_KINDS, PolicyParams
-from .workers import WorkerProfile
+from .population import WorkerProfile
 
 SWEEP_HEADER = [
     "policy", "knob", "knob_value", "lf", "effort_avg", "expiry_avg",
@@ -53,8 +53,8 @@ class SweepSpec:
     theta2_grid: tuple[float, ...] = _UNIT_GRID
     lf_grid: tuple[float, ...] = _UNIT_GRID
     slots: int = 10_000
-    seed: int = 0
-    deadline: int | None = 3
+    seed: int = SimConfig.seed
+    deadline: int | None = SimConfig.deadline
 
     def __post_init__(self) -> None:
         for kind in self.policies:
@@ -178,10 +178,10 @@ def run_sweep(
 ):
     """Execute the grid and build rows in deterministic grid order.
 
-    Points are independent, so ``jobs > 1`` fans them out across at most
-    ``jobs`` processes, one per point and CPU at most; the row order (and
-    therefore the output file) is identical either way. Returns the row
-    list, or ``(rows, diagnostics)`` when ``collect_diagnostics`` is set.
+    Points are independent, so they fan out across ``jobs`` processes, one
+    per point and CPU at most, or run in this process when that is one;
+    the row order (and therefore the output file) is the same either way.
+    Returns the row list, or ``(rows, diagnostics)`` with ``collect_diagnostics``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -190,8 +190,9 @@ def run_sweep(
         (tuple(population), params, lf, spec.slots, spec.seed, spec.deadline)
         for params, lf in points
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(points), os.cpu_count() or 1)) as pool:
+    processes = min(jobs, len(points), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             outcomes = list(pool.map(_run_point, payloads, chunksize=4))
     else:
         outcomes = [_run_point(p) for p in payloads]

@@ -20,11 +20,10 @@ import numpy as np
 from workrest.engine import SimState
 from workrest.numerics import SNAP_RTOL, SNAP_SCALE_CAP
 from workrest.policies import PolicyParams
-from workrest.population import PopulationSpec
+from workrest.population import PopulationSpec, WorkerProfile
 from workrest.rng import (
     _MASK64, _MIX1, _MIX2, _SLOT_KEY, _WORKER_KEY, MU_MAX_STREAM, REPUTATION_STREAM,
 )
-from workrest.workers import WorkerProfile
 
 
 def snap_floor(x: float) -> int:
@@ -62,15 +61,15 @@ def mood_sample(seed: int, worker_id: int, slot: int) -> float:
 def generate(spec: PopulationSpec) -> list[WorkerProfile]:
     """The synthetic population one worker at a time: reputation uniform on
     its range, capacity a uniform integer on ``[lo, hi]`` inclusive."""
-    rep = spec.reputation_dist
-    lo, hi = int(spec.mu_max_dist.lo), int(spec.mu_max_dist.hi)
+    rep_lo, rep_hi = spec.reputation_dist
+    lo, hi = (int(b) for b in spec.mu_max_dist)
     profiles = []
     for i in range(spec.count):
         u = uniform01(spec.seed, i, REPUTATION_STREAM)
         v = uniform01(spec.seed, i, MU_MAX_STREAM)
         profiles.append(WorkerProfile(
             id=i,
-            reputation=rep.lo + (rep.hi - rep.lo) * u,
+            reputation=rep_lo + (rep_hi - rep_lo) * u,
             mu_max=min(hi, lo + int(v * (hi - lo + 1))),
         ))
     return profiles

@@ -22,7 +22,7 @@ from oracle import (
 )
 from workrest.delegation import slot_workload
 from workrest.policies import PolicyParams
-from workrest.workers import WorkerProfile
+from workrest.population import WorkerProfile
 
 
 @dataclass

@@ -14,7 +14,7 @@ from conftest import DESK_SEED, DESK_SLOTS, traced_run
 from workrest.cli import main as cli_main
 from workrest.engine import SimConfig, run
 from workrest.policies import PolicyParams
-from workrest.workers import WorkerProfile
+from workrest.population import WorkerProfile
 
 
 def _verdict(num: int, ok: bool, desc: str, detail: str = "") -> None:

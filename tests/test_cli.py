@@ -8,7 +8,8 @@ import pytest
 from conftest import DESK_N, DESK_SEED, desk_sweep_spec, lossy_apportion
 from workrest import cli, engine
 from workrest.cli import main
-from workrest.population import Distribution, PopulationSpec, generate, load_csv
+from workrest.engine import SimConfig
+from workrest.population import PopulationSpec, generate, load_csv, write_csv
 from workrest.sweep import (
     SWEEP_HEADER,
     SweepSpec,
@@ -71,6 +72,12 @@ class TestGenWorkers:
         )
         pop = load_csv(str(out))
         assert all(p.reputation == 1.0 and p.mu_max == 5 for p in pop)
+
+    def test_default_ranges_and_seed_are_the_library_defaults(self, tmp_path):
+        out, want = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert run_cli("gen-workers", "--n", "50", "--seed", "7", "--out", str(out)) == 0
+        write_csv(str(want), generate(PopulationSpec(count=50, seed=7)))
+        assert out.read_bytes() == want.read_bytes()
 
     def test_bad_distribution_is_usage_error(self, tmp_path):
         code = run_cli(
@@ -492,6 +499,14 @@ class TestExperimentConfigs:
         args = cli.build_parser().parse_args(
             ["sweep", "--slots", "40", "--seed", "3", "--deadline", "inf", "--gen-n", "1"])
         assert cli._sweep_spec(args) == SweepSpec(slots=40, seed=3, deadline=None)
+        args = cli.build_parser().parse_args(["sweep", "--gen-n", "1"])
+        assert cli._sweep_spec(args) == SweepSpec()
+
+    def test_no_run_flags_resolve_to_the_library_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["simulate", "--policy", "me", "--lf", "1", "--gen-n", "1"])
+        assert (args.slots, args.seed, args.deadline) == (
+            SweepSpec.slots, SimConfig.seed, SimConfig.deadline)
 
     def test_desk_config_resolves_to_the_acceptance_grid(self):
         # README's reproduce command runs the grid and population of the
@@ -524,7 +539,7 @@ class TestExperimentConfigs:
                 "--out", str(workers),
             ) == 0
             argv += ["--workers", str(workers)]
-            spec = PopulationSpec(count=500, mu_max_dist=Distribution(4, 40), seed=7)
+            spec = PopulationSpec(count=500, mu_max_dist=(4, 40), seed=7)
         else:
             spec = PopulationSpec(count=500, seed=7)
         assert run_cli(*argv) == 0

@@ -8,8 +8,7 @@ from oracle import TaskCohort, WorkerState, collective_capacity, delegate
 from workrest.delegation import apportion, slot_workload
 from workrest.engine import SimConfig, SimState
 from workrest.policies import PolicyParams
-from workrest.population import PopulationSpec, generate
-from workrest.workers import WorkerProfile
+from workrest.population import PopulationSpec, WorkerProfile, generate
 
 
 def profiles(*specs):

@@ -19,9 +19,8 @@ from workrest.engine import (
     run,
 )
 from workrest.policies import PolicyParams
-from workrest.population import PopulationSpec, generate
+from workrest.population import PopulationSpec, WorkerProfile, generate
 from workrest.rng import uniform01_array
-from workrest.workers import WorkerProfile
 
 
 def single_worker():

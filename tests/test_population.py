@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 import oracle
 from oracle import collective_capacity
 from workrest.population import (
-    Distribution,
     PopulationSpec,
+    WorkerProfile,
     generate,
     load_csv,
     write_csv,
 )
-from workrest.workers import WorkerProfile
 
 
 class TestLoadCsv:
@@ -75,6 +74,8 @@ class TestLoadCsv:
             # a blank line is skipped but counted: a long row on line 3 before a
             # duplicate on line 5
             (["", "0,0.5,1,9", "0,0.5,1", "0,0.5,1"], r":3: expected 3 fields, got 4$"),
+            # a quoted field spans lines 2-3, so the malformed row is on line 5
+            (['0,0.5,"1', '"', "1,0.5,2", "x,0.5,1"], r":5: malformed row \['x', '0.5', '1'\]"),
         ],
     )
     def test_first_bad_line_is_reported(self, tmp_path, lines, message):
@@ -130,8 +131,8 @@ class TestGenerate:
     def test_constant_distributions(self):
         spec = PopulationSpec(
             count=3,
-            reputation_dist=Distribution.constant(1.0),
-            mu_max_dist=Distribution.constant(5),
+            reputation_dist=(1.0, 1.0),
+            mu_max_dist=(5, 5),
             seed=0,
         )
         pop = generate(spec)
@@ -164,29 +165,32 @@ class TestGenerate:
         with pytest.raises(ValueError, match="count must be >= 1"):
             PopulationSpec(count=0)
         with pytest.raises(ValueError, match=r"reputation must be in \[0, 1\], got 1.5"):
-            PopulationSpec(count=3, reputation_dist=Distribution(0.5, 1.5))
+            PopulationSpec(count=3, reputation_dist=(0.5, 1.5))
         with pytest.raises(ValueError, match=r"reputation must be in \[0, 1\], got -0.1"):
-            PopulationSpec(count=3, reputation_dist=Distribution(-0.1, 0.5))
+            PopulationSpec(count=3, reputation_dist=(-0.1, 0.5))
         with pytest.raises(ValueError, match=capacity):
-            PopulationSpec(count=3, mu_max_dist=Distribution.constant(0))
+            PopulationSpec(count=3, mu_max_dist=(0, 0))
         with pytest.raises(ValueError, match=r"out of order: \[5, 1\]"):
-            Distribution(5, 1)
+            PopulationSpec(count=3, mu_max_dist=(5, 1))
+        with pytest.raises(ValueError, match=r"out of order: \[1.0, 0.5\]"):
+            PopulationSpec(count=3, reputation_dist=(1.0, 0.5))
         inf, nan = float("inf"), float("nan")
         for lo, hi in [(0, 5), (1.5, 1.5), (1.5, 10), (1, 10.5), (inf, inf), (1, inf),
                        (nan, nan), (1, 1e30), (1, 2**53 + 2)]:
             with pytest.raises(ValueError, match=capacity):
-                PopulationSpec(count=3, mu_max_dist=Distribution(lo, hi))
+                PopulationSpec(count=3, mu_max_dist=(lo, hi))
 
     def test_capacity_bounds_at_the_limits(self):
-        spec = PopulationSpec(count=50, mu_max_dist=Distribution(1.0, 2.0**53), seed=9)
+        spec = PopulationSpec(count=50, mu_max_dist=(1.0, 2.0**53), seed=9)
         assert all(1 <= p.mu_max <= 2**53 for p in generate(spec))
-        spec = PopulationSpec(count=3, mu_max_dist=Distribution.constant(2**53))
+        spec = PopulationSpec(count=3, mu_max_dist=(2**53, 2**53))
         assert [p.mu_max for p in generate(spec)] == [2**53] * 3
 
 
 def _ranges(elements):
     """``(lo, hi)`` pairs drawn from ``elements``: ordered ranges and constants."""
-    return st.tuples(elements, elements).map(sorted) | elements.map(lambda v: [v, v])
+    return st.tuples(elements, elements).map(lambda b: tuple(sorted(b))) | elements.map(
+        lambda v: (v, v))
 
 
 class TestGenerateMatchesTheScalarReference:
@@ -200,8 +204,8 @@ class TestGenerateMatchesTheScalarReference:
     )
     def test_profiles_and_reputation_reprs_equal(self, count, seed, rep, cap, float_caps):
         if float_caps:  # the command line passes capacity bounds as floats
-            cap = [float(b) for b in cap]
-        spec = PopulationSpec(count, Distribution(*rep), Distribution(*cap), seed)
+            cap = tuple(float(b) for b in cap)
+        spec = PopulationSpec(count, rep, cap, seed)
         got, want = generate(spec), oracle.generate(spec)
         assert got == want
         assert [repr(p.reputation) for p in got] == [repr(p.reputation) for p in want]

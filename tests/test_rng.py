@@ -7,7 +7,7 @@ from oracle import mix64, mood_sample, uniform01
 from workrest.engine import CounterMoods, SimConfig
 from workrest.policies import PolicyParams
 from workrest.rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01_array
-from workrest.workers import WorkerProfile
+from workrest.population import WorkerProfile
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 ids = st.integers(min_value=0, max_value=2**32)

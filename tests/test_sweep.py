@@ -61,13 +61,14 @@ class TestGrid:
         assert serial == parallel
         assert sweep_rows_to_csv(serial) == sweep_rows_to_csv(parallel)
 
-    @pytest.mark.parametrize("jobs,cpus,workers", [
+    @pytest.mark.parametrize("jobs,cpus,processes", [
         (2, 8, 2),
         (64, 8, 3),  # no more processes than the grid's 3 points
         (64, 2, 2),  # nor than the CPUs
         (64, None, 1),  # an unknown CPU count counts as one
+        (2, 1, 1),
     ])
-    def test_pool_size_is_bounded(self, tiny_population, monkeypatch, jobs, cpus, workers):
+    def test_pool_size_is_bounded(self, tiny_population, monkeypatch, jobs, cpus, processes):
         sizes = []
 
         class InProcessPool:
@@ -88,7 +89,8 @@ class TestGrid:
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
         assert run_sweep(spec, tiny_population, jobs=jobs) == serial
-        assert sizes == [workers]
+        # one process runs the grid in this one, with no pool
+        assert sizes == ([processes] if processes > 1 else [])
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, tiny_population, jobs):
@@ -126,7 +128,7 @@ class TestGrid:
     def test_zero_workload_points_emit_na_percentages(self):
         # omega=1 at lf=0.05 rounds to zero tasks per slot: the ME baseline
         # averages are zero, so the relative columns carry the NA sentinel.
-        from workrest.workers import WorkerProfile
+        from workrest.population import WorkerProfile
 
         pop = [WorkerProfile(id=0, reputation=1.0, mu_max=1)]
         rows = run_sweep(tiny_spec(lf_grid=(0.05,), slots=20), pop)

@@ -14,8 +14,7 @@ from oracle import (
     update_conceptual_queue,
 )
 from workrest.numerics import snap_floor_array
-from workrest.population import load_csv, write_csv
-from workrest.workers import WorkerProfile
+from workrest.population import WorkerProfile, load_csv, write_csv
 
 moods = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 efforts = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

@@ -132,7 +132,8 @@ class SimState:
         # Float shares hold w_req exactly up to 2**53. A backlog total of at most
         # min(D, T) * w_req and each Q <= T * g bound every int64 sum of phase 7.
         if w_req > 2**53:
-            raise ValueError(f"slot workload {w_req} exceeds 2**53, the bound for exact float shares")
+            raise ValueError(
+                f"slot workload {w_req} exceeds 2**53, the bound for exact float shares")
         backlog_cap = (deadline or config.slots) * w_req
         largest = max(backlog_cap * (backlog_cap + g), n * (config.slots * g) ** 2)
         if largest >= 2**63:

@@ -436,9 +436,10 @@ class TestUsageErrors:
         "grid-empty": ({}, ["sweep", "--phi-grid", ","], ["argument --phi-grid", "empty grid ','"]),
         "grid-range-to-inf": ({}, ["sweep", "--phi-grid", "0:inf:1"],
                               ["argument --phi-grid", "grid range '0:inf:1' must be finite"]),
-        "grid-step-below-spacing": ({}, ["sweep", "--phi-grid", RANGE_AT_2_53],
-                                    ["argument --phi-grid", "step 1.0 does not advance "
-                                     f"9007199254740992.0 in '{RANGE_AT_2_53}'"]),
+        "grid-step-below-spacing": ({}, ["sweep", "--gen-n", "1", "--phi-grid", RANGE_AT_2_53],
+                                    ["phi_grid repeats 9007199254740992.0"]),
+        "grid-repeated-value": ({}, ["sweep", "--gen-n", "1", "--lf-grid", "0.5,0.5"],
+                                ["lf_grid repeats 0.5"]),
         "grid-not-a-number": ({}, ["sweep", "--lf-grid", "5:x:1"],
                               ["argument --lf-grid", "bad grid part '5:x:1'"]),
         "knob-of-another-policy": ({}, [*SIMULATE_ME, "--gen-n", "5", "--phi", "5"],
@@ -481,6 +482,11 @@ class TestUsageErrors:
                                     f"got {2**64}"]),
         "report-short-row": ({"s.csv": ",".join(SWEEP_HEADER) + "\n\nme,none,0.0\n"},
                              ["report", "{tmp}/s.csv"], ["bad sweep row ['me', 'none', '0.0']"]),
+        "report-not-a-number": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,x,0,0,NA,NA\n"},
+                                ["report", "{tmp}/s.csv"],
+                                ["error: line 2: bad sweep row ['me', 'none', '0', '0.5', 'x', "]),
+        "report-nan": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,1,0,1,nan,100\n"},
+                       ["report", "{tmp}/s.csv"], ["error: line 2: bad sweep row ", "'nan'"]),
     }
 
     @pytest.mark.parametrize("files,argv,fragments", CASES.values(), ids=CASES.keys())

@@ -3,6 +3,8 @@ import types
 from pathlib import Path
 
 import workrest
+from workrest.population import CSV_HEADER
+from workrest.sweep import PER_SLOT_HEADER, REPORT_HEADER, SWEEP_HEADER
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +19,10 @@ def test_readme_library_use_lists_every_public_name():
     ]
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(public)
+
+
+def test_readme_file_formats_state_every_header():
+    section = README.read_text().split("### File formats", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(r"`(\w+(?:,\w+)+)`", section)
+    headers = (CSV_HEADER, SWEEP_HEADER, PER_SLOT_HEADER, REPORT_HEADER)
+    assert stated == [",".join(header) for header in headers]

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from workrest.sweep import (
     run_sweep,
     sweep_rows_to_csv,
 )
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +120,19 @@ class TestGrid:
         with pytest.raises(ValueError, match="deadline must be >= 1"):
             SweepSpec(deadline=0)
 
+    @pytest.mark.parametrize("grids,message", [
+        ({"lf_grid": (0.5, 0.5)}, "lf_grid repeats 0.5"),
+        # a grid its policy does not select is checked too
+        ({"policies": ("me",), "phi_grid": (5.0, 5.0)}, "phi_grid repeats 5.0"),
+        ({"theta1_grid": (0.2, 0.5, 0.2, 0.5)}, "theta1_grid repeats 0.2"),
+        # the message names the value, not the whole grid
+        ({"sigma_grid": tuple(float(v) for v in range(1, 10_000)) + (7.0,)},
+         "sigma_grid repeats 7.0"),
+    ])
+    def test_repeated_grid_value_rejected(self, grids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(**grids)
+
     def test_grid_size_is_bounded(self):
         # (1 ME row + the selected knob values) per load factor
         lf_grid = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -166,6 +184,39 @@ class TestCsvRoundTrip:
         for original, reparsed in zip(rows, parsed):
             assert reparsed.policy == original.policy
             assert reparsed.effort_avg == pytest.approx(original.effort_avg, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["desk_sweep.csv", "scaled_sweep.csv"])
+    def test_committed_sweep_files_round_trip(self, name):
+        text = (RESULTS / name).read_text()
+        assert sweep_rows_to_csv(parse_sweep_csv(text)) == text
+
+    def test_every_field_round_trips(self):
+        # distinct values in every numeric field, so no two columns can swap
+        rows = [
+            SweepRow(policy="mt", knob_name="theta1", knob_value=0.25, load_factor=0.5,
+                     effort_avg=1.5, expiry_avg=0.125, completion_avg=2.75,
+                     effort_pct_of_me=None, completion_pct_of_me=None),
+            SweepRow(policy="cpl", knob_name="phi", knob_value=50.0, load_factor=0.75,
+                     effort_avg=3.5, expiry_avg=0.0625, completion_avg=4.25,
+                     effort_pct_of_me=37.5, completion_pct_of_me=62.5),
+        ]
+        assert parse_sweep_csv(sweep_rows_to_csv(rows)) == rows
+
+    @pytest.mark.parametrize("bad", [
+        "me,none,0,0.5,x,0,1,100,100",  # not a number
+        "me,none,0,0.5,NA,0,1,100,100",  # NA outside the *_pct_of_me columns
+        "me,none,0,0.5,1,0,1,nan,100",
+        "me,none,0,0.5,1,0,1,100,-inf",
+        "me,none,0,0.5,1e999,0,1,100,100",  # overflows to inf
+        "me,none,0,0.5,1,0,1,100,100,7",  # a tenth field
+    ])
+    def test_bad_row_names_its_line(self, bad):
+        # the header is line 1, a quoted newline makes the first row lines
+        # 2-3, line 4 is blank, and the bad row is line 5
+        good = "me,none,0,0.5,1,0,1,NA,NA"
+        text = ",".join(SWEEP_HEADER) + f'\n"m\ne",{good[3:]}\n\n{bad}\n{good}\n'
+        with pytest.raises(ValueError, match=r"^line 5: bad sweep row \['me', 'none', "):
+            parse_sweep_csv(text)
 
     def test_six_decimal_formatting(self, tiny_population):
         rows = run_sweep(tiny_spec(), tiny_population)

@@ -182,8 +182,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with open(args.sweep_csv, encoding="utf-8") as fh:
-        rows = parse_sweep_csv(fh.read())
+    try:
+        with open(args.sweep_csv, encoding="utf-8") as fh:
+            rows = parse_sweep_csv(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.sweep_csv}: not UTF-8: {exc}") from None
     _write_text(args.out, report_rows_to_csv(aggregate_report(rows)))
     return 0
 

@@ -32,7 +32,7 @@ def apportion(w_req: int, weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     receives less, and a zero weight receives nothing. Output sums to
     ``w_req`` exactly.
     """
-    total = float(weights.sum())
+    total = float(np.add.reduce(weights))
     if not total > 0.0:
         raise ValueError(f"delegation weights must have a positive sum, got {total}")
     n = len(weights)
@@ -41,15 +41,17 @@ def apportion(w_req: int, weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     remainders = shares - floors
     base = floors.astype(np.int64)
     # Every remainder is < 1, so the leftover fits in one award per worker.
-    leftover = w_req - int(base.sum())
+    leftover = w_req - int(np.add.reduce(base))
     if not 0 <= leftover <= n:
         raise ArithmeticError(f"largest-remainder leftover {leftover} outside [0, {n}]")
     if leftover == 0:
         return base
-    # Award order: remainder desc, weight desc, id asc. Select the
-    # leftover-th largest remainder in O(n); a positive one has a
-    # positive weight, so only a zero cut can reach a zero weight.
-    cut = np.partition(remainders, n - leftover)[n - leftover]
+    # Award order: remainder desc, weight desc, id asc. Select the leftover-th
+    # largest remainder in O(n), in place in a scratch copy (``shares``); a positive
+    # one has a positive weight, so only a zero cut can reach a zero weight.
+    shares -= floors
+    shares.partition(n - leftover)
+    cut = shares[n - leftover]
     if cut == 0.0 and leftover > (positive := int(np.count_nonzero(weights > 0.0))):
         raise ArithmeticError(f"largest-remainder leftover {leftover} outside [0, {positive}]")
     award = remainders >= cut
@@ -61,7 +63,7 @@ def apportion(w_req: int, weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     above = remainders > cut
     base += above
     tied = np.flatnonzero(remainders == cut)
-    tied = tied[np.lexsort((ids[tied], -weights[tied]))][:leftover - int(above.sum())]
+    tied = tied[np.lexsort((ids[tied], -weights[tied]))][:leftover - int(np.count_nonzero(above))]
     base[tied] += 1
     return base
 

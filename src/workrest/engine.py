@@ -3,7 +3,7 @@
 Each slot runs a fixed phase order over the whole population:
 
 1. delegate this slot's tasks
-2. record the observed backlog q_i(t) and the system total
+2. record the observed backlog q_i(t); its total is the ledger's (phase 8)
 3. sample per-worker mood
 4. policy decision per worker -> (effort, completed)
 5. conceptual-queue update from this slot's backlog and completions
@@ -11,7 +11,9 @@ Each slot runs a fixed phase order over the whole population:
    than the deadline expire
 7. drift-bound diagnostics on the queues phases 5-6 computed; twice the
    Lyapunov value is carried as a running Python int
-8. state handoff; ``run`` adds up the slot's totals (and keeps its report)
+8. state handoff; ``run``'s ledger adds up the slot's totals (and keeps its
+   report) and carries the backlog total: the last one plus the slot workload
+   less its completions and expiries
 
 State is held in flat arrays (one row per worker) so a slot is a handful
 of vector operations. Completions and expiry both remove a worker's
@@ -207,41 +209,40 @@ def drift_bound_sides(
     fired = x > 0
     g2 = mu_max_global * mu_max_global
     cross = int(q @ (lam - mu)) - int(mu @ lam) + int(Q @ (mu_max_global * fired - mu))
-    rhs2 = 2 * cross + len(q) * (lambda_max * lambda_max + 2 * g2) + g2 * int(fired.sum())
+    rhs2 = 2 * cross + len(q) * (lambda_max * lambda_max + 2 * g2)
+    rhs2 += g2 * int(np.count_nonzero(fired))  # int: a numpy int times a big int overflows
     next2 = int(q_next @ q_next) + int(Q_next @ Q_next)
     return next2 - lyap2, rhs2, next2
 
 
 def _step_arrays(
     state: SimState, config: SimConfig, t: int, mood_source
-) -> tuple[int, int, int, float, float, int, int]:
+) -> tuple[int, int, float, float, int, int]:
     """One slot over the state arrays; returns the slot's ``(completions,
-    expired, pending_total, effort_sum, expiry_ratio_sum, lhs2, rhs2)``,
-    the drift sides doubled as Python ints."""
+    expired, effort_sum, expiry_ratio_sum, lhs2, rhs2)``, the drift sides
+    doubled as Python ints. Reductions call ufunc ``reduce`` bare: the ndarray
+    methods wrap it in Python."""
     # Phase 1: delegation. Weights use the carried backlog.
     weights = delegation_weights(state.weighted_capacity, state.q)
     lam = apportion(state.w_req, weights, state.ids)
 
-    # Phase 2: observed backlog and system total.
+    # Phase 2: observed backlog; its total is the ledger's, in ``run``.
     q_hat = state.q + lam
-    n_total = int(q_hat.sum())
 
     # Phase 3: moods.
     m = np.asarray(mood_source(t, state.ids), dtype=float)
     if m.shape != state.ids.shape:
         raise ValueError(f"slot {t}: mood source gave shape {m.shape}, expected {state.ids.shape}")
-    if not (m.min() >= 0.0 and m.max() <= 1.0):
+    if not (np.minimum.reduce(m) >= 0.0 and np.maximum.reduce(m) <= 1.0):  # NaN fails
         raise ValueError(f"slot {t}: moods must lie in [0, 1], got [{m.min()}, {m.max()}]")
 
     # Phase 4: policy decisions (the floor is this module's binding, looked
     # up every slot like the other per-slot callables).
     xi, mu = decide(config.policy, q_hat, state.Q, m, state.mu_max, floor=snap_floor_array)
-    if (mu > q_hat).any():
+    if np.logical_or.reduce(mu > q_hat):
         bad = int(np.argmax(mu > q_hat))
-        raise SimulationError(
-            f"slot {t}: worker {int(state.ids[bad])} completed {int(mu[bad])} "
-            f"of {int(q_hat[bad])} pending tasks"
-        )
+        raise SimulationError(f"slot {t}: worker {int(state.ids[bad])} completed "
+                              f"{int(mu[bad])} of {int(q_hat[bad])} pending tasks")
 
     # Phase 5: conceptual queues, from this slot's backlog and completions.
     pending = q_hat > 0
@@ -252,32 +253,29 @@ def _step_arrays(
     # Phase 6: the backlog is each worker's youngest tasks, so with a
     # deadline D those delegated before the last D - 1 slots (this one
     # included) expire: the oldest ones, as a cohort FIFO would age them out.
-    completions, expired_total, expiry_ratio_sum = int(mu.sum()), 0, 0.0
+    completions, expired_total, expiry_ratio_sum = int(np.add.reduce(mu)), 0, 0.0
     q_next = q_hat - mu
     if state.arrived is not None:
         ring, d = state.arrived, state.arrived.shape[1]
         through_t = ring[:, (t - 1) % d] + lam
         # Every pending task was delegated within the last D slots.
-        if (q_hat > through_t - ring[:, t % d]).any():
+        if np.logical_or.reduce(q_hat > through_t - ring[:, t % d]):
             raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
         ring[:, t % d] = through_t
-        expired = np.maximum(0, q_next - (through_t - ring[:, (t + 1) % d]))
-        expired_total = int(expired.sum())
-        q_next -= expired
-        expiry_ratio_sum = float((expired / np.maximum(q_hat, 1))[pending].sum())
+        kept = np.minimum(q_next, through_t - ring[:, (t + 1) % d])  # = q - max(0, q - recent)
+        q_next, expired = kept, q_next - kept
+        expired_total = int(np.add.reduce(expired))
+        expiry_ratio_sum = float(np.add.reduce((expired / np.maximum(q_hat, 1))[pending]))
 
     # Phase 7: drift from the carried queues to the slot's outgoing ones;
     # the arrival bound is the slot workload (one worker could receive all).
-    lhs2, rhs2, state.lyap2 = drift_bound_sides(
-        state.q, state.Q, lam, mu, x, q_next, Q_next,
-        state.lyap2, max(1, state.w_req), state.mu_max_global,
-    )
+    lhs2, rhs2, state.lyap2 = drift_bound_sides(state.q, state.Q, lam, mu, x, q_next, Q_next,
+                                                state.lyap2, state.w_req or 1, state.mu_max_global)
 
     # Phase 8: state handoff and the slot's totals.
-    state.q = q_next
-    state.Q = Q_next
+    state.q, state.Q = q_next, Q_next
     state.x_net += net
-    return completions, expired_total, n_total, float(xi.sum()), expiry_ratio_sum, lhs2, rhs2
+    return completions, expired_total, float(np.add.reduce(xi)), expiry_ratio_sum, lhs2, rhs2
 
 
 @dataclass
@@ -330,12 +328,14 @@ def run(
     n = len(state.ids)
 
     effort_total = expiry_ratio_total = completion_ratio_total = 0.0
-    slots_with_pending = completions_total = expired_total = drift_violations = 0
+    slots_with_pending = completions_total = expired_total = drift_violations = carried = 0
     reports: list[SlotReport] = []
 
     for t in range(config.slots):
-        completions, expired, pending, effort, expiry_ratio, lhs2, rhs2 = _step_arrays(
+        pending = carried + state.w_req  # apportion hands out w_req exactly
+        completions, expired, effort, expiry_ratio, lhs2, rhs2 = _step_arrays(
             state, config, t, mood_source)
+        carried = pending - completions - expired
         effort_total += effort
         expiry_ratio_total += expiry_ratio
         if pending > 0:
@@ -353,17 +353,9 @@ def run(
     metrics = RunMetrics(
         effort_avg=effort_total / (config.slots * n),
         expiry_avg=expiry_ratio_total / (config.slots * n),
-        completion_avg=(
-            completion_ratio_total / slots_with_pending if slots_with_pending else 0.0
-        ),
+        completion_avg=completion_ratio_total / slots_with_pending if slots_with_pending else 0.0,
         slots_counted_for_completion=slots_with_pending,
     )
-    return RunResult(
-        metrics=metrics,
-        reports=reports,
-        final_state=state,
-        arrivals_total=config.slots * state.w_req,
-        completions_total=completions_total,
-        expired_total=expired_total,
-        drift_violations=drift_violations,
-    )
+    return RunResult(metrics=metrics, reports=reports, final_state=state,
+                     arrivals_total=config.slots * state.w_req, completions_total=completions_total,
+                     expired_total=expired_total, drift_violations=drift_violations)

@@ -18,8 +18,9 @@ a value where it always passes (theta1 = theta2 = 0, k = -inf, w = 0):
 * ``cpl`` - index rule that adds deferred-work pressure: k = phi, w = 1.
 
 A worker that works spends just enough effort to clear its backlog at the
-current mood, capped at 1 (and 1 when mood * mu_max is zero), and
-completes min(q, floor(mood * mu_max)) tasks.
+current mood, q / max(mood * mu_max, 1) capped at 1 (its q is at least 1, so
+the effort is 1 wherever mood * mu_max <= 1), and completes
+min(q, floor(mood * mu_max)) tasks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ POLICY_KINDS = tuple(KNOB_FIELDS)
 @dataclass(frozen=True, init=False)
 class PolicyParams:
     """A policy kind and the value of the one knob it reads (0.0 for ``me``),
-    passed by its name: ``PolicyParams("cpl", phi=50.0)``."""
+    passed by its name: ``PolicyParams("cpl", phi=50.0)``; sigma and phi are
+    finite. ``gates`` is the kind's ``(theta1, theta2, k, w)`` in the gated rule,
+    worked out once since ``decide`` reads it every slot."""
 
     kind: str
     knob_value: float
@@ -56,23 +59,16 @@ class PolicyParams:
                 raise ValueError(f"{kind} requires {name} in [0, 1], got {value}")
         elif name is not None and (value is None or not value > 0):
             raise ValueError(f"{kind} requires {name} > 0, got {value}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "knob_value", 0.0 if name is None else value)
-
-    @property
-    def knob_name(self) -> str:
-        return KNOB_FIELDS[self.kind] or "none"
-
-    @property
-    def gates(self) -> tuple[float, float, float, int]:
-        """``(theta1, theta2, k, w)`` of the gated rule for this kind."""
-        knob, value = KNOB_FIELDS[self.kind], self.knob_value
-        return (
-            value if knob == "theta1" else 0.0,
-            value if knob == "theta2" else 0.0,
-            value if knob in ("sigma", "phi") else -math.inf,
-            1 if knob == "phi" else 0,
-        )
+        elif value == math.inf:
+            raise ValueError(f"{kind} requires a finite {name}, got {value}")
+        value = 0.0 if name is None else value
+        # Frozen: set through the instance dict, in a fixed order, so pickles are stable.
+        self.__dict__.update(kind=kind, knob_value=value, knob_name=name or "none", gates=(
+            value if name == "theta1" else 0.0,
+            value if name == "theta2" else 0.0,
+            value if name in ("sigma", "phi") else -math.inf,
+            1 if name == "phi" else 0,
+        ))
 
 
 def decide(
@@ -83,8 +79,9 @@ def decide(
     mu_max: np.ndarray,
     floor=snap_floor_array,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-worker effort and tasks completed, for moods in [0, 1]: a worker
-    that works completes ``min(q, floor(m * mu_max))``, in integers.
+    """Per-worker effort and tasks completed, for moods in [0, 1]: a worker that
+    works spends ``min(1, q / max(m * mu_max, 1))``, 1 wherever ``m * mu_max <= 1``
+    as its q is at least 1, and completes ``min(q, floor(m * mu_max))``, in integers.
 
     ``floor`` is the snapping floor; callers may pass their own binding of
     ``snap_floor_array`` so that its calls can be swapped out or timed.
@@ -102,10 +99,10 @@ def decide(
     if theta2 > 0.0:
         # Both int64 products are at most max(q, mu_max) * mu_max, below 2**63 in a run:
         # SimState.from_population keeps q <= backlog_cap and backlog_cap * g, g**2 < 2**63.
-        top = int(mu_max.max())
-        if (bound := max(int(q.max()), top) * top) >= 2**63:
+        top = int(np.maximum.reduce(mu_max))
+        if (bound := max(int(np.maximum.reduce(q)), top) * top) >= 2**63:
             raise ValueError(f"mw gate products may reach {bound}, beyond int64 (2**63)")
         work &= q * fd >= mu_max * floor(theta2 * mu_max)
-    # The divisor is 1 at d = 0, where working needs q >= 1: effort min(1, q) = 1.
-    effort = work * np.minimum(1.0, q / (d + (d == 0.0)))
-    return effort, work * np.minimum(q, fd)
+    # One mask: a resting worker's backlog counts 0, so its effort is +0.0 and it completes 0.
+    q_work = q * work
+    return np.minimum(1.0, q_work / np.maximum(d, 1.0)), np.minimum(q_work, fd)

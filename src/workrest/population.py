@@ -75,33 +75,36 @@ def generate(spec: PopulationSpec) -> list[WorkerProfile]:
 
 def load_csv(path: str) -> list[WorkerProfile]:
     """Parse and validate a worker CSV, preserving file order."""
+    profiles: list[WorkerProfile] = []
+    seen: set[int] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
-        profiles: list[WorkerProfile] = []
-        seen: set[int] = set()
-        for row in reader:
-            lineno = reader.line_num  # the file line the record ends on
-            if len(row) != 3:
-                if not row:
-                    continue
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                worker_id, reputation, mu_max = int(row[0]), float(row[1]), int(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from None
-            if worker_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate worker id {worker_id}")
-            try:
-                profiles.append(WorkerProfile(worker_id, reputation, mu_max))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            seen.add(worker_id)
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                fault = "empty file" if header is None else f"bad header {header!r}"
+                raise ValueError(f"{path}: {fault}, expected header {CSV_HEADER}")
+            for row in reader:
+                lineno = reader.line_num  # the file line the record ends on
+                if len(row) != 3:
+                    if not row:
+                        continue
+                    raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                try:
+                    worker_id, reputation, mu_max = int(row[0]), float(row[1]), int(row[2])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from None
+                if worker_id in seen:
+                    raise ValueError(f"{path}:{lineno}: duplicate worker id {worker_id}")
+                try:
+                    profiles.append(WorkerProfile(worker_id, reputation, mu_max))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                seen.add(worker_id)
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoded a chunk at a time, so no line
+            raise ValueError(f"{path}: not UTF-8: {exc}") from None
     if not profiles:
         raise ValueError(f"{path}: no worker rows")
     return profiles

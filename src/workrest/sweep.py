@@ -255,10 +255,13 @@ def _sweep_columns(lines) -> list:
 def parse_sweep_csv(text: str) -> list[SweepRow]:
     """The rows of a sweep CSV; a bad row is a ValueError naming its line."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != SWEEP_HEADER:
-        raise ValueError(f"bad sweep header {header!r}, expected {SWEEP_HEADER}")
-    lines = {reader.line_num: line for line in reader if line}  # by the file line it ends on
+    try:
+        header = next(reader, None)
+        if header != SWEEP_HEADER:
+            raise ValueError(f"bad sweep header {header!r}, expected {SWEEP_HEADER}")
+        lines = {reader.line_num: line for line in reader if line}  # by the file line it ends on
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not lines:
         raise ValueError("sweep file has no data rows")
     try:

@@ -487,12 +487,29 @@ class TestUsageErrors:
                                 ["error: line 2: bad sweep row ['me', 'none', '0', '0.5', 'x', "]),
         "report-nan": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,1,0,1,nan,100\n"},
                        ["report", "{tmp}/s.csv"], ["error: line 2: bad sweep row ", "'nan'"]),
+        # A field over the csv module's 131,072-character limit.
+        "workers-field-over-limit": ({"w.csv": HEADER + "0,0.5,3\n1,0.5," + "1" * 200_000 + "\n"},
+                                     [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
+                                     ["w.csv:3: field larger than field limit (131072)"]),
+        "report-field-over-limit": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,1,0,1,"
+                                     + "1" * 200_000 + ",100\n"}, ["report", "{tmp}/s.csv"],
+                                    ["error: line 2: field larger than field limit (131072)"]),
+        "workers-not-utf-8": ({"w.csv": (HEADER + "0,0.5,3\n1,0.5,").encode() + b"\xff\n"},
+                              [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
+                              ["w.csv: not UTF-8: ", "can't decode byte 0xff"]),
+        "report-not-utf-8": ({"s.csv": (",".join(SWEEP_HEADER) + "\nme,").encode() + b"\xff\n"},
+                             ["report", "{tmp}/s.csv"], ["s.csv: not UTF-8: ", "byte 0xff"]),
+        "knob-inf": ({}, ["simulate", "--gen-n", "5", "--slots", "5", "--policy", "cpl",
+                          "--phi", "inf", "--lf", "0.5"], ["cpl requires a finite phi, got inf"]),
+        "grid-inf": ({}, ["sweep", "--gen-n", "3", "--slots", "3", "--policies", "cpl",
+                          "--phi-grid", "1e308,inf", "--lf-grid", "0.5"],
+                     ["cpl requires a finite phi, got inf"]),
     }
 
     @pytest.mark.parametrize("files,argv,fragments", CASES.values(), ids=CASES.keys())
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, files, argv, fragments):
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         assert run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 2
         err = capsys.readouterr().err
         assert all(f in err for f in fragments), err

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +54,23 @@ class TestParams:
             PolicyParams(kind="mt", theta1=1.5)
         with pytest.raises(ValueError, match=r"^mw requires theta2 in \[0, 1\], got nan$"):
             PolicyParams(kind="mw", theta2=math.nan)
+
+    @pytest.mark.parametrize("kind,knob", [("ac", "sigma"), ("cpl", "phi")])
+    def test_infinite_index_knob_rejected(self, kind, knob):
+        # At an infinite threshold no worker ever works: a usage error, not a run.
+        with pytest.raises(ValueError, match=rf"^{kind} requires a finite {knob}, got inf$"):
+            PolicyParams(kind, **{knob: math.inf})
+        with pytest.raises(ValueError, match=rf"^{kind} requires {knob} > 0, got -inf$"):
+            PolicyParams(kind, **{knob: -math.inf})
+        assert PolicyParams(kind, **{knob: 1e308}).knob_value == 1e308
+
+    def test_gates_are_worked_out_once_and_pickle_the_same(self):
+        # decide reads the gates every slot, so they are stored, not rebuilt;
+        # a point's pickled payload must not depend on whether they were read.
+        fresh, read = cpl(50.0), cpl(50.0)
+        assert read.gates is read.gates
+        assert pickle.dumps(fresh) == pickle.dumps(read)
+        assert pickle.loads(pickle.dumps(read)).gates == read.gates == (0.0, 0.0, 50.0, 1)
 
     def test_knob_names(self):
         assert PolicyParams(kind="me").knob_name == "none"

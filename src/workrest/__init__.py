@@ -19,7 +19,7 @@ from .sweep import (
     SweepRow,
     SweepSpec,
     aggregate_report,
-    parse_sweep_csv,
+    load_sweep_csv,
     report_rows_to_csv,
     run_sweep,
     sweep_rows_to_csv,

@@ -29,7 +29,7 @@ from .sweep import (
     SweepRow,
     SweepSpec,
     aggregate_report,
-    parse_sweep_csv,
+    load_sweep_csv,
     per_slot_csv,
     report_rows_to_csv,
     run_sweep,
@@ -94,8 +94,9 @@ def _parse_dist(text: str) -> tuple[float, float]:
             lo, hi = (float(v) for v in args.split(","))
             return lo, hi
     except ValueError as exc:
-        raise ValueError(f"bad distribution {text!r}: {exc}") from None
-    raise ValueError(f"bad distribution {text!r}, expected const:V or uniform:LO,HI")
+        raise argparse.ArgumentTypeError(f"bad distribution {text!r}: {exc}") from None
+    raise argparse.ArgumentTypeError(
+        f"bad distribution {text!r}, expected const:V or uniform:LO,HI")
 
 
 def _resolve_population(args: argparse.Namespace):
@@ -135,9 +136,8 @@ def _print_health(diagnostics: list[PointDiagnostics]) -> int:
 
 def cmd_gen_workers(args: argparse.Namespace) -> int:
     """The ranges of the flags that were given; ``PopulationSpec`` fills in the rest."""
-    ranges = {field: _parse_dist(text) for field, text in
-              [("reputation_dist", args.rep_dist), ("mu_max_dist", args.mu_max_dist)]
-              if text is not None}
+    ranges = {field: getattr(args, field) for field in ("reputation_dist", "mu_max_dist")
+              if getattr(args, field) is not None}
     write_csv(args.out, generate(PopulationSpec(count=args.n, seed=args.seed, **ranges)))
     return 0
 
@@ -182,12 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with open(args.sweep_csv, encoding="utf-8") as fh:
-            rows = parse_sweep_csv(fh.read())
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{args.sweep_csv}: not UTF-8: {exc}") from None
-    _write_text(args.out, report_rows_to_csv(aggregate_report(rows)))
+    _write_text(args.out, report_rows_to_csv(aggregate_report(load_sweep_csv(args.sweep_csv))))
     return 0
 
 
@@ -211,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-workers", help="write a synthetic worker CSV")
     gen.add_argument("--n", type=int, required=True, help="population size")
     gen.add_argument("--seed", type=int, default=PopulationSpec.seed)
-    gen.add_argument("--rep-dist", help="reputation distribution: const:V or uniform:LO,HI")
-    gen.add_argument("--mu-max-dist",
+    gen.add_argument("--rep-dist", dest="reputation_dist", type=_parse_dist,
+                     help="reputation distribution: const:V or uniform:LO,HI")
+    gen.add_argument("--mu-max-dist", type=_parse_dist,
                      help="capacity distribution: const:V or uniform:LO,HI "
                           "(whole numbers in [1, 2**53])")
     gen.add_argument("--out", required=True)
@@ -247,7 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except RecursionError:  # argparse expands an @FILE within an @FILE recursively
+            raise ValueError("an argument file includes itself, or they nest too deeply") from None
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

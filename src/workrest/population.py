@@ -2,7 +2,8 @@
 
 A worker is its id, reputation and per-slot capacity; its queues live as
 population-wide arrays in ``engine.SimState``. The canonical interchange
-format is a UTF-8 CSV with the exact header ``worker_id,reputation,mu_max``.
+format is a UTF-8 CSV with the exact header ``worker_id,reputation,mu_max``;
+``read_csv`` reads it and the sweep CSV by one rule.
 Synthetic populations are deterministic functions of a seed, drawn from
 the same counter-based generator family as per-slot moods but on
 dedicated streams.
@@ -12,13 +13,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01_array
 
 CSV_HEADER = ["worker_id", "reputation", "mu_max"]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -73,41 +75,45 @@ def generate(spec: PopulationSpec) -> list[WorkerProfile]:
     return list(map(WorkerProfile, range(spec.count), reps.tolist(), caps.tolist()))
 
 
-def load_csv(path: str) -> list[WorkerProfile]:
-    """Parse and validate a worker CSV, preserving file order."""
-    profiles: list[WorkerProfile] = []
-    seen: set[int] = set()
+def read_csv(path: str, header: list[str], build: Callable[[list[str]], T]) -> list[T]:
+    """``build`` of each record of the UTF-8 CSV at ``path`` below its exact
+    ``header``, in file order, skipping blank lines. A fault is a ValueError
+    naming ``PATH:LINE:`` (the file line the record ends on, so a quoted field
+    that spans lines counts each line) or, for the file as a whole, ``PATH:``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header != CSV_HEADER:
-                fault = "empty file" if header is None else f"bad header {header!r}"
-                raise ValueError(f"{path}: {fault}, expected header {CSV_HEADER}")
-            for row in reader:
-                lineno = reader.line_num  # the file line the record ends on
-                if len(row) != 3:
-                    if not row:
-                        continue
-                    raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-                try:
-                    worker_id, reputation, mu_max = int(row[0]), float(row[1]), int(row[2])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from None
-                if worker_id in seen:
-                    raise ValueError(f"{path}:{lineno}: duplicate worker id {worker_id}")
-                try:
-                    profiles.append(WorkerProfile(worker_id, reputation, mu_max))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                seen.add(worker_id)
-        except csv.Error as exc:  # such as a field over the csv module's size limit
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            found = next(reader, None)
+            records = [build(row) for row in reader if row] if found == header else None
         except UnicodeDecodeError as exc:  # decoded a chunk at a time, so no line
             raise ValueError(f"{path}: not UTF-8: {exc}") from None
-    if not profiles:
-        raise ValueError(f"{path}: no worker rows")
-    return profiles
+        except (ValueError, csv.Error) as exc:  # csv.Error: a field over its size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if records is None:
+        fault = "empty file" if found is None else f"bad header {found!r}"
+        raise ValueError(f"{path}: {fault}, expected header {header}")
+    if not records:
+        raise ValueError(f"{path}: no data rows")
+    return records
+
+
+def load_csv(path: str) -> list[WorkerProfile]:
+    """Parse and validate a worker CSV, preserving file order."""
+    seen: set[int] = set()
+
+    def profile(row: list[str]) -> WorkerProfile:
+        if len(row) != 3:
+            raise ValueError(f"expected 3 fields, got {len(row)}")
+        try:
+            worker_id, reputation, mu_max = int(row[0]), float(row[1]), int(row[2])
+        except ValueError as exc:
+            raise ValueError(f"malformed row {row!r}: {exc}") from None
+        if worker_id in seen:
+            raise ValueError(f"duplicate worker id {worker_id}")
+        seen.add(worker_id)
+        return WorkerProfile(worker_id, reputation, mu_max)
+
+    return read_csv(path, CSV_HEADER, profile)
 
 
 def write_csv(path: str, population: Sequence[WorkerProfile]) -> None:

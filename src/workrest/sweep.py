@@ -14,14 +14,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .engine import RunMetrics, RunResult, SimConfig, SimulationError, run
 from .policies import KNOB_FIELDS, POLICY_KINDS, PolicyParams
-from .population import WorkerProfile
+from .population import WorkerProfile, read_csv
 
 SWEEP_HEADER = [
     "policy", "knob", "knob_value", "lf", "effort_avg", "expiry_avg",
@@ -239,40 +238,25 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     return _csv_text(SWEEP_HEADER, zip(*_columns(rows, 2)))
 
 
-def _sweep_columns(lines) -> list:
-    """``SweepRow``'s columns from sweep CSV ``lines``: two of text, five of finite
-    floats, two of finite floats or None (``NA``); a ValueError for anything else."""
-    if any(len(line) != len(SWEEP_HEADER) for line in lines):
-        raise ValueError("wrong field count")
-    policy, knob, *numbers = zip(*lines)
-    columns = [[*map(float, column)] for column in numbers[:5]]
-    columns += [[None if s == _NA else float(s) for s in column] for column in numbers[5:]]
-    if not all(map(math.isfinite, filter(None, chain(*columns)))):  # None and 0.0 are finite
-        raise ValueError("not finite")
-    return [policy, knob, *columns]
-
-
-def parse_sweep_csv(text: str) -> list[SweepRow]:
-    """The rows of a sweep CSV; a bad row is a ValueError naming its line."""
-    reader = csv.reader(io.StringIO(text))
+def _sweep_row(fields: list[str]) -> SweepRow:
+    """The ``SweepRow`` of one sweep CSV record, as ``sweep`` writes it: a policy
+    and its own knob (``none`` for ``me``), five finite numbers, then two finite
+    numbers or ``NA``; anything else is a ValueError."""
     try:
-        header = next(reader, None)
-        if header != SWEEP_HEADER:
-            raise ValueError(f"bad sweep header {header!r}, expected {SWEEP_HEADER}")
-        lines = {reader.line_num: line for line in reader if line}  # by the file line it ends on
-    except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if not lines:
-        raise ValueError("sweep file has no data rows")
-    try:
-        return [*map(SweepRow, *_sweep_columns(lines.values()))]
+        policy, knob, *numbers = fields
+        values = [*map(float, numbers[:5]), *(None if s == _NA else float(s) for s in numbers[5:])]
+        if (len(fields) == len(SWEEP_HEADER) and policy in KNOB_FIELDS
+                and (KNOB_FIELDS[policy] or "none") == knob
+                and all(map(math.isfinite, filter(None, values)))):  # None and 0.0 are finite
+            return SweepRow(policy, knob, *values)
     except ValueError:
-        for end, line in lines.items():  # the first line that fails alone
-            try:
-                _sweep_columns([line])
-            except ValueError:
-                raise ValueError(f"line {end}: bad sweep row {line!r}") from None
-        raise
+        pass
+    raise ValueError(f"bad sweep row {fields!r}")
+
+
+def load_sweep_csv(path: str) -> list[SweepRow]:
+    """The rows of the sweep CSV at ``path``; a bad row is a ValueError naming its line."""
+    return read_csv(path, SWEEP_HEADER, _sweep_row)
 
 
 @dataclass(frozen=True)

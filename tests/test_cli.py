@@ -14,7 +14,7 @@ from workrest.sweep import (
     SWEEP_HEADER,
     SweepSpec,
     aggregate_report,
-    parse_sweep_csv,
+    load_sweep_csv,
     report_rows_to_csv,
     run_sweep,
     sweep_rows_to_csv,
@@ -421,6 +421,45 @@ SIMULATE_ME = ["simulate", "--policy", "me", "--lf", "0.5", "--slots", "5"]
 SWEEP_ME = ["sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "5", "--gen-n", "5"]
 HEADER = "worker_id,reputation,mu_max\n"
 RANGE_AT_2_53 = "9007199254740992:9007199254740994:1"  # from 2**53 on, v + 1 == v
+# The two input files: the name and command of each, its header, and its
+# record ``i`` with value ``v`` in a numeric field.
+CSV_READERS = {
+    "workers": ("w.csv", [*SIMULATE_ME, "--workers"], HEADER.rstrip(), lambda i, v: f"{i},{v},3"),
+    "report": ("s.csv", ["report"], ",".join(SWEEP_HEADER),
+               lambda i, v: f"me,none,0,0.5,{v},0,1,NA,NA"),
+}
+
+
+def csv_fault_cases():
+    """One list of faults, applied alike to a worker file and a sweep file: the
+    error names the file, and for a record fault the file line it ends on."""
+    cases = {}
+    for reader, (name, argv, header, row) in CSV_READERS.items():
+        def text(*last, first=(row(0, 0.5), row(1, 0.5))):
+            """The header, two good records on lines 2 and 3, then ``last``."""
+            return "".join(f"{line}\n" for line in [header, *first, *last])
+
+        faults = {
+            "empty": ("", ": empty file, expected header"),
+            "bad-header": (text().replace(header, "a,b,c"), ": bad header ['a', 'b', 'c']"),
+            "header-only": (header + "\n", ": no data rows"),
+            "short-row": (text(row(2, 0.5).rsplit(",", 1)[0]), ":4: "),
+            "long-row": (text(row(2, 0.5) + ",7"), ":4: "),
+            "not-a-number": (text(row(2, "x")), ":4: "),
+            "nan": (text(row(2, "nan")), ":4: "),
+            "1e999": (text(row(2, "1e999")), ":4: "),  # overflows to inf
+            "field-over-limit": (text(row(2, "1" * 200_000)),
+                                 ":4: field larger than field limit (131072)"),
+            "not-utf-8": (text(row(2, "\udcff")),  # the byte 0xff
+                          ": not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+            # a quoted field spans lines 2-3, so the bad record ends on line 5
+            "after-quoted-newline": (text(row(2, "x"), first=(row(0, '"0.5\n"'), row(1, 0.5))),
+                                     ":5: "),
+        }
+        for fault, (file_text, where) in faults.items():
+            cases[f"{reader}-{fault}"] = (
+                {name: file_text}, [*argv, "{tmp}/" + name], ["error: {tmp}/" + name + where])
+    return cases
 
 
 class TestUsageErrors:
@@ -447,9 +486,10 @@ class TestUsageErrors:
         "jobs-zero": ({}, [*SWEEP_ME, "--jobs", "0"], ["jobs must be >= 1, got 0"]),
         "jobs-negative": ({}, [*SWEEP_ME, "--jobs", "-3"], ["jobs must be >= 1, got -3"]),
         "dist-kind": ({}, ["gen-workers", "--n", "3", "--rep-dist", "beta:1,2", "--out", "{tmp}/w"],
-                      ["bad distribution 'beta:1,2', expected const:V or uniform:LO,HI"]),
+                      ["argument --rep-dist: ",
+                       "bad distribution 'beta:1,2', expected const:V or uniform:LO,HI"]),
         "dist-one-bound": ({}, ["gen-workers", "--n", "3", "--rep-dist", "uniform:1", "--out",
-                                "{tmp}/w"], ["bad distribution 'uniform:1': "]),
+                                "{tmp}/w"], ["argument --rep-dist: bad distribution 'uniform:1': "]),
         "args-file-missing": ({}, ["simulate", "@{tmp}/absent.args"],
                               ["No such file or directory", "absent.args"]),
         "args-file-blank-line": ({"run.args": "--policy=me\n\n--lf=0.5\n"},
@@ -460,14 +500,6 @@ class TestUsageErrors:
         "no-population": ({}, SIMULATE_ME,
                           ["one of the arguments --workers --gen-n is required"]),
         "gen-n-zero": ({}, [*SIMULATE_ME, "--gen-n", "0"], ["count must be >= 1, got 0"]),
-        "workers-empty": ({"w.csv": ""}, [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
-                          ["w.csv: empty file, expected header"]),
-        "workers-two-fields": ({"w.csv": HEADER + "0,0.5,3\n\n2,0.5\n"},
-                               [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
-                               ["w.csv:4: expected 3 fields, got 2"]),
-        "workers-bad-reputation": ({"w.csv": HEADER + "0,abc,3\n"},
-                                   [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
-                                   ["w.csv:2: malformed row ['0', 'abc', '3']"]),
         "workers-id-beyond-int64": ({"w.csv": HEADER + "0,0.5,3\n9223372036854775808,0.5,3\n"},
                                     [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
                                     ["w.csv:3: worker id must be in [0, 2**63), "
@@ -480,39 +512,36 @@ class TestUsageErrors:
                                    [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
                                    ["w.csv:3: mu_max must be a whole number in [1, 2**53], "
                                     f"got {2**64}"]),
-        "report-short-row": ({"s.csv": ",".join(SWEEP_HEADER) + "\n\nme,none,0.0\n"},
-                             ["report", "{tmp}/s.csv"], ["bad sweep row ['me', 'none', '0.0']"]),
-        "report-not-a-number": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,x,0,0,NA,NA\n"},
-                                ["report", "{tmp}/s.csv"],
-                                ["error: line 2: bad sweep row ['me', 'none', '0', '0.5', 'x', "]),
-        "report-nan": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,1,0,1,nan,100\n"},
-                       ["report", "{tmp}/s.csv"], ["error: line 2: bad sweep row ", "'nan'"]),
-        # A field over the csv module's 131,072-character limit.
-        "workers-field-over-limit": ({"w.csv": HEADER + "0,0.5,3\n1,0.5," + "1" * 200_000 + "\n"},
-                                     [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
-                                     ["w.csv:3: field larger than field limit (131072)"]),
-        "report-field-over-limit": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,1,0,1,"
-                                     + "1" * 200_000 + ",100\n"}, ["report", "{tmp}/s.csv"],
-                                    ["error: line 2: field larger than field limit (131072)"]),
-        "workers-not-utf-8": ({"w.csv": (HEADER + "0,0.5,3\n1,0.5,").encode() + b"\xff\n"},
-                              [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
-                              ["w.csv: not UTF-8: ", "can't decode byte 0xff"]),
-        "report-not-utf-8": ({"s.csv": (",".join(SWEEP_HEADER) + "\nme,").encode() + b"\xff\n"},
-                             ["report", "{tmp}/s.csv"], ["s.csv: not UTF-8: ", "byte 0xff"]),
+        "report-unknown-policy": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,1,0,1,NA,NA"
+                                             "\nfoo,phi,5,0.5,1,0,1,50,60\n"},
+                                  ["report", "{tmp}/s.csv"],
+                                  ["error: {tmp}/s.csv:3: bad sweep row ['foo', 'phi', "]),
+        "report-knob-of-another-policy": ({"s.csv": ",".join(SWEEP_HEADER)
+                                           + "\nme,sigma,0,0.5,1,0,1,100,100\n"},
+                                          ["report", "{tmp}/s.csv"],
+                                          ["error: {tmp}/s.csv:2: bad sweep row ['me', 'sigma', "]),
+        "args-file-includes-itself": ({"loop.args": "@{tmp}/loop.args\n"},
+                                      ["simulate", "@{tmp}/loop.args"],
+                                      ["error: an argument file includes itself"]),
         "knob-inf": ({}, ["simulate", "--gen-n", "5", "--slots", "5", "--policy", "cpl",
                           "--phi", "inf", "--lf", "0.5"], ["cpl requires a finite phi, got inf"]),
         "grid-inf": ({}, ["sweep", "--gen-n", "3", "--slots", "3", "--policies", "cpl",
                           "--phi-grid", "1e308,inf", "--lf-grid", "0.5"],
                      ["cpl requires a finite phi, got inf"]),
+        **csv_fault_cases(),
     }
 
     @pytest.mark.parametrize("files,argv,fragments", CASES.values(), ids=CASES.keys())
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, files, argv, fragments):
-        for name, text in files.items():
-            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
-        assert run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 2
+        def at(text):
+            return text.replace("{tmp}", str(tmp_path))
+
+        for name, text in files.items():  # a lone surrogate "\udcff" writes the byte 0xff
+            (tmp_path / name).write_bytes(at(text).encode(errors="surrogateescape"))
+        assert run_cli(*map(at, argv)) == 2
         err = capsys.readouterr().err
-        assert all(f in err for f in fragments), err
+        assert "Traceback" not in err and err.count("error:") == 1, err
+        assert all(at(f) in err for f in fragments), err
 
 
 class TestExperimentConfigs:
@@ -547,7 +576,8 @@ class TestExperimentConfigs:
         # the grid order and the CSV writers, byte for byte
         sweep_csv = (RESULTS / "desk_sweep.csv").read_bytes()
         assert sweep_rows_to_csv(desk.rows).encode() == sweep_csv
-        report = report_rows_to_csv(aggregate_report(parse_sweep_csv(sweep_csv.decode())))
+        rows = load_sweep_csv(str(RESULTS / "desk_sweep.csv"))
+        report = report_rows_to_csv(aggregate_report(rows))
         assert report.encode() == (RESULTS / "desk_report.csv").read_bytes()
 
     @pytest.mark.parametrize("name", ["desk", "scaled"])

@@ -31,7 +31,7 @@ class TestLoadCsv:
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("worker_id,reputation,mu_max\n")
-        with pytest.raises(ValueError, match="no worker rows"):
+        with pytest.raises(ValueError, match="w.csv: no data rows"):
             load_csv(str(path))
 
     def test_bad_header_rejected(self, tmp_path):

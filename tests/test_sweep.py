@@ -11,13 +11,20 @@ from workrest.sweep import (
     SweepRow,
     SweepSpec,
     aggregate_report,
-    parse_sweep_csv,
+    load_sweep_csv,
     report_rows_to_csv,
     run_sweep,
     sweep_rows_to_csv,
 )
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+
+def load_text(tmp_path, text):
+    """``load_sweep_csv`` of a file in ``tmp_path`` holding ``text``."""
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    return load_sweep_csv(str(path))
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +150,7 @@ class TestGrid:
         with pytest.raises(ValueError, match="the grid has 100010 points, more than 100000"):
             SweepSpec(policies=("me", "cpl"), phi_grid=at_limit + (1e4,), lf_grid=lf_grid)
 
-    def test_zero_workload_points_emit_na_percentages(self):
+    def test_zero_workload_points_emit_na_percentages(self, tmp_path):
         # omega=1 at lf=0.05 rounds to zero tasks per slot: the ME baseline
         # averages are zero, so the relative columns carry the NA sentinel.
         from workrest.population import WorkerProfile
@@ -155,7 +162,7 @@ class TestGrid:
         text = sweep_rows_to_csv(rows)
         assert text.splitlines()[1].endswith("NA,NA")
         # and the NA sentinel survives a parse round trip
-        reparsed = parse_sweep_csv(text)
+        reparsed = load_text(tmp_path, text)
         assert all(r.effort_pct_of_me is None for r in reparsed)
 
     def test_failing_point_is_named(self, tiny_population, monkeypatch):
@@ -175,11 +182,11 @@ class TestGrid:
 
 
 class TestCsvRoundTrip:
-    def test_header_and_parse(self, tiny_population):
+    def test_header_and_parse(self, tiny_population, tmp_path):
         rows = run_sweep(tiny_spec(), tiny_population)
         text = sweep_rows_to_csv(rows)
         assert text.splitlines()[0] == ",".join(SWEEP_HEADER)
-        parsed = parse_sweep_csv(text)
+        parsed = load_text(tmp_path, text)
         assert len(parsed) == len(rows)
         for original, reparsed in zip(rows, parsed):
             assert reparsed.policy == original.policy
@@ -188,9 +195,9 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("name", ["desk_sweep.csv", "scaled_sweep.csv"])
     def test_committed_sweep_files_round_trip(self, name):
         text = (RESULTS / name).read_text()
-        assert sweep_rows_to_csv(parse_sweep_csv(text)) == text
+        assert sweep_rows_to_csv(load_sweep_csv(str(RESULTS / name))) == text
 
-    def test_every_field_round_trips(self):
+    def test_every_field_round_trips(self, tmp_path):
         # distinct values in every numeric field, so no two columns can swap
         rows = [
             SweepRow(policy="mt", knob_name="theta1", knob_value=0.25, load_factor=0.5,
@@ -200,7 +207,7 @@ class TestCsvRoundTrip:
                      effort_avg=3.5, expiry_avg=0.0625, completion_avg=4.25,
                      effort_pct_of_me=37.5, completion_pct_of_me=62.5),
         ]
-        assert parse_sweep_csv(sweep_rows_to_csv(rows)) == rows
+        assert load_text(tmp_path, sweep_rows_to_csv(rows)) == rows
 
     @pytest.mark.parametrize("bad", [
         "me,none,0,0.5,x,0,1,100,100",  # not a number
@@ -209,14 +216,17 @@ class TestCsvRoundTrip:
         "me,none,0,0.5,1,0,1,100,-inf",
         "me,none,0,0.5,1e999,0,1,100,100",  # overflows to inf
         "me,none,0,0.5,1,0,1,100,100,7",  # a tenth field
+        "foo,phi,5,0.5,1,0,1,50,60",  # a policy sweep never runs
+        "me,sigma,0,0.5,1,0,1,100,100",  # a knob of another policy
     ])
-    def test_bad_row_names_its_line(self, bad):
+    def test_bad_row_names_its_line(self, tmp_path, bad):
         # the header is line 1, a quoted newline makes the first row lines
         # 2-3, line 4 is blank, and the bad row is line 5
         good = "me,none,0,0.5,1,0,1,NA,NA"
-        text = ",".join(SWEEP_HEADER) + f'\n"m\ne",{good[3:]}\n\n{bad}\n{good}\n'
-        with pytest.raises(ValueError, match=r"^line 5: bad sweep row \['me', 'none', "):
-            parse_sweep_csv(text)
+        text = ",".join(SWEEP_HEADER) + f'\nme,none,"0\n",{good[10:]}\n\n{bad}\n{good}\n'
+        policy, knob = bad.split(",")[:2]
+        with pytest.raises(ValueError, match=rf"s\.csv:5: bad sweep row \['{policy}', '{knob}', "):
+            load_text(tmp_path, text)
 
     def test_six_decimal_formatting(self, tiny_population):
         rows = run_sweep(tiny_spec(), tiny_population)
@@ -227,13 +237,13 @@ class TestCsvRoundTrip:
             whole, _, frac = value.partition(".")
             assert len(frac) == 6
 
-    def test_bad_header_rejected(self):
+    def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="header"):
-            parse_sweep_csv("a,b,c\n1,2,3\n")
+            load_text(tmp_path, "a,b,c\n1,2,3\n")
 
-    def test_empty_file_rejected(self):
+    def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no data"):
-            parse_sweep_csv(",".join(SWEEP_HEADER) + "\n")
+            load_text(tmp_path, ",".join(SWEEP_HEADER) + "\n")
 
 
 def mkrow(policy, effort_pct, completion_pct, expiry=0.1):
@@ -276,9 +286,9 @@ class TestReport:
         assert report.region == "na"
         assert "NA" in report_rows_to_csv([report])
 
-    def test_aggregates_equal_direct_means(self, tiny_population):
+    def test_aggregates_equal_direct_means(self, tiny_population, tmp_path):
         rows = run_sweep(tiny_spec(), tiny_population)
-        parsed = parse_sweep_csv(sweep_rows_to_csv(rows))
+        parsed = load_text(tmp_path, sweep_rows_to_csv(rows))
         reports = {r.policy: r for r in aggregate_report(parsed)}
         for policy in ("me", "cpl"):
             group = [r for r in parsed if r.policy == policy]

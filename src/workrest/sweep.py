@@ -1,9 +1,9 @@
 """Grid sweeps over (policy, knob, load factor) and baseline-relative reports.
 
-Every policy at a given (seed, load factor) sees the same mood stream and
-the same delegation behavior, so differences between rows isolate the
-scheduling rule. The max-effort policy is run at every load factor and
-serves as the 100% reference for the *_pct_of_me columns.
+Every policy at a given (seed, load factor) sees the same mood stream, slot
+workload and delegation rule; the split reads each policy's own backlogs
+(weights r * mu_max / (1 + q)). The max-effort policy is run at every load
+factor and serves as the 100% reference for the *_pct_of_me columns.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ REPORT_HEADER = [
     "mean_completion_pct_of_me", "superlinearity_ratio", "region",
 ]
 PER_SLOT_HEADER = [
-    "slot", "arrivals", "completions", "expired", "pending",
-    "lyapunov", "drift_lhs", "drift_rhs",
+    "slot", "arrivals", "completions", "expired", "pending", "effort_sum",
+    "expiry_ratio_sum", "lyapunov", "drift_lhs", "drift_rhs",
 ]
 
 _NA = "NA"
@@ -239,24 +239,38 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def _sweep_row(fields: list[str]) -> SweepRow:
-    """The ``SweepRow`` of one sweep CSV record, as ``sweep`` writes it: a policy
-    and its own knob (``none`` for ``me``), five finite numbers, then two finite
-    numbers or ``NA``; anything else is a ValueError."""
+    """The ``SweepRow`` of one sweep CSV record, as ``sweep`` writes it: a policy, its knob's
+    name and value, and a load factor that ``PolicyParams`` and ``SimConfig`` accept, three
+    finite numbers, then two finite numbers or ``NA``; anything else is a ValueError."""
     try:
         policy, knob, *numbers = fields
         values = [*map(float, numbers[:5]), *(None if s == _NA else float(s) for s in numbers[5:])]
-        if (len(fields) == len(SWEEP_HEADER) and policy in KNOB_FIELDS
-                and (KNOB_FIELDS[policy] or "none") == knob
-                and all(map(math.isfinite, filter(None, values)))):  # None and 0.0 are finite
-            return SweepRow(policy, knob, *values)
-    except ValueError:
-        pass
+        # filter(None, ...) drops None and 0.0, which are finite
+        if len(fields) == len(SWEEP_HEADER) and all(map(math.isfinite, filter(None, values))):
+            name = KNOB_FIELDS.get(policy)
+            params = PolicyParams(policy, **({name: values[0]} if name else {}))
+            SimConfig(slots=1, load_factor=values[1], policy=params)
+            if (params.knob_name, params.knob_value) == (knob, values[0]):
+                return SweepRow(policy, knob, *values)
+    except ValueError as exc:
+        raise ValueError(f"bad sweep row {fields!r}: {exc}") from None
     raise ValueError(f"bad sweep row {fields!r}")
 
 
 def load_sweep_csv(path: str) -> list[SweepRow]:
-    """The rows of the sweep CSV at ``path``; a bad row is a ValueError naming its line."""
-    return read_csv(path, SWEEP_HEADER, _sweep_row)
+    """The rows of the sweep CSV at ``path``; a bad row, or a point that an earlier
+    row holds, is a ValueError naming its line."""
+    seen: set[tuple[str, float, float]] = set()
+
+    def row(fields: list[str]) -> SweepRow:
+        r = _sweep_row(fields)
+        if (point := (r.policy, r.knob_value, r.load_factor)) in seen:
+            raise ValueError(f"repeated point (policy={r.policy}, {r.knob_name}="
+                             f"{r.knob_value}, lf={r.load_factor})")
+        seen.add(point)
+        return r
+
+    return read_csv(path, SWEEP_HEADER, row)
 
 
 @dataclass(frozen=True)
@@ -313,8 +327,5 @@ def report_rows_to_csv(rows: Sequence[ReportRow]) -> str:
 
 
 def per_slot_csv(reports) -> str:
-    return _csv_text(PER_SLOT_HEADER, (
-        [r.slot, r.arrivals, r.completions, r.expired, r.pending_total,
-         f"{r.lyapunov:.6f}", f"{r.drift_lhs:.6f}", f"{r.drift_rhs:.6f}"]
-        for r in reports
-    ))
+    """The per-slot CSV: ``SlotReport``'s fields in declaration order."""
+    return _csv_text(PER_SLOT_HEADER, zip(*_columns(reports, 5)))

@@ -9,8 +9,10 @@ from conftest import DESK_N, DESK_SEED, desk_sweep_spec, lossy_apportion
 from workrest import cli, engine
 from workrest.cli import main
 from workrest.engine import SimConfig
+from workrest.policies import PolicyParams
 from workrest.population import PopulationSpec, generate, load_csv, write_csv
 from workrest.sweep import (
+    PER_SLOT_HEADER,
     SWEEP_HEADER,
     SweepSpec,
     aggregate_report,
@@ -199,13 +201,17 @@ class TestSimulate:
 
     def test_per_slot_schema(self, tmp_path, workers_csv):
         per_slot = tmp_path / "slots.csv"
-        run_cli(
-            "simulate", "--policy", "me", "--lf", "0.3", "--slots", "10",
+        assert run_cli(
+            "simulate", "--policy", "cpl", "--phi", "5", "--lf", "0.9", "--slots", "10",
             "--workers", workers_csv, "--per-slot", str(per_slot),
-        )
-        lines = per_slot.read_text().splitlines()
-        assert lines[0] == "slot,arrivals,completions,expired,pending,lyapunov,drift_lhs,drift_rhs"
-        assert len(lines) == 11
+        ) == 0
+        config = SimConfig(slots=10, load_factor=0.9, policy=PolicyParams("cpl", phi=5.0))
+        reports = engine.run(config, load_csv(workers_csv), keep_reports=True).reports
+        header, *lines = per_slot.read_text().splitlines()
+        assert header == ",".join(PER_SLOT_HEADER)
+        # each row is one SlotReport, fields in order: ints as they are, floats at six decimals
+        assert lines == [",".join(str(v) if isinstance(v, int) else f"{v:.6f}"
+                                  for v in vars(r).values()) for r in reports]
 
     def test_deadline_inf(self, tmp_path, workers_csv):
         out = tmp_path / "s.csv"
@@ -422,12 +428,20 @@ SWEEP_ME = ["sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "5", "--
 HEADER = "worker_id,reputation,mu_max\n"
 RANGE_AT_2_53 = "9007199254740992:9007199254740994:1"  # from 2**53 on, v + 1 == v
 # The two input files: the name and command of each, its header, and its
-# record ``i`` with value ``v`` in a numeric field.
+# record ``i`` with value ``v`` in a numeric field. Records differ in their
+# key, a worker id or a sweep point (here the load factor), as in a file
+# that ``gen-workers`` or ``sweep`` writes.
 CSV_READERS = {
     "workers": ("w.csv", [*SIMULATE_ME, "--workers"], HEADER.rstrip(), lambda i, v: f"{i},{v},3"),
     "report": ("s.csv", ["report"], ",".join(SWEEP_HEADER),
-               lambda i, v: f"me,none,0,0.5,{v},0,1,NA,NA"),
+               lambda i, v: f"me,none,0,0.{i + 1},{v},0,1,NA,NA"),
 }
+
+
+def report_case(*rows, fault):
+    """``report`` of a sweep file holding ``rows``: the error is ``s.csv:`` then ``fault``."""
+    text = "".join(f"{row}\n" for row in [",".join(SWEEP_HEADER), *rows])
+    return {"s.csv": text}, ["report", "{tmp}/s.csv"], ["error: {tmp}/s.csv:" + fault]
 
 
 def csv_fault_cases():
@@ -512,14 +526,32 @@ class TestUsageErrors:
                                    [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
                                    ["w.csv:3: mu_max must be a whole number in [1, 2**53], "
                                     f"got {2**64}"]),
-        "report-unknown-policy": ({"s.csv": ",".join(SWEEP_HEADER) + "\nme,none,0,0.5,1,0,1,NA,NA"
-                                             "\nfoo,phi,5,0.5,1,0,1,50,60\n"},
-                                  ["report", "{tmp}/s.csv"],
-                                  ["error: {tmp}/s.csv:3: bad sweep row ['foo', 'phi', "]),
-        "report-knob-of-another-policy": ({"s.csv": ",".join(SWEEP_HEADER)
-                                           + "\nme,sigma,0,0.5,1,0,1,100,100\n"},
-                                          ["report", "{tmp}/s.csv"],
-                                          ["error: {tmp}/s.csv:2: bad sweep row ['me', 'sigma', "]),
+        "report-unknown-policy": report_case(
+            "me,none,0,0.5,1,0,1,NA,NA", "foo,phi,5,0.5,1,0,1,50,60",
+            fault="3: bad sweep row ['foo', 'phi', "),
+        "report-knob-of-another-policy": report_case(
+            "me,sigma,0,0.5,1,0,1,100,100", fault="2: bad sweep row ['me', 'sigma', "),
+        "report-knob-value-refused": report_case(
+            "cpl,phi,-3,0.5,1,0,1,50,60",
+            fault="2: bad sweep row ['cpl', 'phi', '-3', '0.5', '1', '0', '1', '50', '60']: "
+                  "cpl requires phi > 0, got -3.0"),
+        "report-load-factor-refused": report_case(
+            "cpl,phi,5,7,1,0,1,50,60",
+            fault="2: bad sweep row ['cpl', 'phi', '5', '7', '1', '0', '1', '50', '60']: "
+                  "load_factor must be in (0, 1], got 7.0"),
+        "report-me-knob-value": report_case(
+            "me,none,5,0.5,1,0,1,100,100",
+            fault="2: bad sweep row ['me', 'none', '5', '0.5', '1', '0', '1', '100', '100']\n"),
+        "report-theta1-refused": report_case(
+            "mt,theta1,1.5,0.5,1,0,1,50,60",
+            fault="2: bad sweep row ['mt', 'theta1', '1.5', '0.5', '1', '0', '1', '50', '60']: "
+                  "mt requires theta1 in [0, 1], got 1.5"),
+        "report-knob-named-kind": report_case(
+            "cpl,kind,5,0.5,1,0,1,50,60",
+            fault="2: bad sweep row ['cpl', 'kind', '5', '0.5', '1', '0', '1', '50', '60']\n"),
+        "report-repeated-point": report_case(
+            "cpl,phi,5,0.5,1,0,1,50,60", "cpl,phi,5.0,0.50,1,0,1,50,60",
+            fault="3: repeated point (policy=cpl, phi=5.0, lf=0.5)"),
         "args-file-includes-itself": ({"loop.args": "@{tmp}/loop.args\n"},
                                       ["simulate", "@{tmp}/loop.args"],
                                       ["error: an argument file includes itself"]),

@@ -1,10 +1,12 @@
 import re
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import workrest
+from workrest.engine import SlotReport
 from workrest.population import CSV_HEADER
-from workrest.sweep import PER_SLOT_HEADER, REPORT_HEADER, SWEEP_HEADER
+from workrest.sweep import PER_SLOT_HEADER, REPORT_HEADER, SWEEP_HEADER, ReportRow, SweepRow
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +28,11 @@ def test_readme_file_formats_state_every_header():
     stated = re.findall(r"`(\w+(?:,\w+)+)`", section)
     headers = (CSV_HEADER, SWEEP_HEADER, PER_SLOT_HEADER, REPORT_HEADER)
     assert stated == [",".join(header) for header in headers]
+
+
+def test_each_table_header_has_a_column_per_row_field():
+    # the writers format a row type's fields in order, so a field added to a
+    # row type fails here until its header names it
+    assert len(PER_SLOT_HEADER) == len(fields(SlotReport))
+    assert len(SWEEP_HEADER) == len(fields(SweepRow))
+    assert len(REPORT_HEADER) == len(fields(ReportRow)) + 1  # then the region property

@@ -218,6 +218,11 @@ class TestCsvRoundTrip:
         "me,none,0,0.5,1,0,1,100,100,7",  # a tenth field
         "foo,phi,5,0.5,1,0,1,50,60",  # a policy sweep never runs
         "me,sigma,0,0.5,1,0,1,100,100",  # a knob of another policy
+        "cpl,phi,-3,0.5,1,0,1,50,60",  # a knob value PolicyParams refuses
+        "cpl,phi,5,7,1,0,1,50,60",  # a load factor SimConfig refuses
+        "me,none,5,0.5,1,0,1,100,100",  # me reads no knob, so its value is 0
+        "mt,theta1,1.5,0.5,1,0,1,50,60",  # theta1 outside [0, 1]
+        "cpl,kind,5,0.5,1,0,1,50,60",  # a PolicyParams argument, not cpl's knob
     ])
     def test_bad_row_names_its_line(self, tmp_path, bad):
         # the header is line 1, a quoted newline makes the first row lines

@@ -8,8 +8,8 @@ invariant. ``simulate`` and ``sweep`` also print one health line to
 stderr: drift-bound violations per slot, the stability inequality and
 task conservation over every run; any failure there exits 3 too.
 
-An argument ``@FILE`` stands for the file's lines, one argument each
-(``--phi-grid=5,25,50,100``), so a settings file is part of the command
+An argument ``@FILE`` stands for the lines of the UTF-8 file, one argument
+each (``--phi-grid=5,25,50,100``), so a settings file is part of the command
 line: a flag after it wins over the file, and one before it loses.
 """
 
@@ -26,9 +26,9 @@ from .population import PopulationSpec, generate, load_csv, write_csv
 from .sweep import (
     MAX_GRID_POINTS,
     PointDiagnostics,
-    SweepRow,
     SweepSpec,
     aggregate_report,
+    baseline_rows,
     load_sweep_csv,
     per_slot_csv,
     report_rows_to_csv,
@@ -40,6 +40,26 @@ from .sweep import (
 # ``simulate``'s knob flags (``--phi`` ...) and ``sweep``'s SweepSpec grid flags.
 _KNOBS = tuple(name for name in KNOB_FIELDS.values() if name)
 _GRIDS = tuple(f.name for f in dataclasses.fields(SweepSpec) if f.name.endswith("_grid"))
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, reading each ``@FILE`` as UTF-8 whatever the locale."""
+
+    def _read_args_from_files(self, arg_strings: list[str]) -> list[str]:
+        expanded: list[str] = []
+        for arg in arg_strings:
+            if not arg or arg[0] not in self.fromfile_prefix_chars:
+                expanded.append(arg)
+                continue
+            try:
+                with open(arg[1:], encoding="utf-8") as fh:
+                    lines = fh.read().splitlines()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{arg[1:]}: not UTF-8: {exc}") from None
+            except OSError as exc:
+                self.error(str(exc))
+            expanded += self._read_args_from_files(lines)
+        return expanded
 
 
 def _parse_deadline(text: str) -> int | None:
@@ -153,11 +173,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         deadline=args.deadline,
     )
     result = run(config, population, keep_reports=args.per_slot is not None)
-    # The ME-relative columns need a baseline run: ME is its own, every
-    # other policy has none here.
-    base = result.metrics if policy.kind == "me" else None
-    row = SweepRow.of(policy, args.lf, result.metrics, base)
-    _write_text(args.out, sweep_rows_to_csv([row]))
+    # A sweep's baseline rule, over this one run.
+    rows = baseline_rows([((policy, args.lf), result.metrics)])
+    _write_text(args.out, sweep_rows_to_csv(rows))
     if args.per_slot is not None:
         _write_text(args.per_slot, per_slot_csv(result.reports))
     return _print_health([PointDiagnostics.of(result, config.slots)])
@@ -187,7 +205,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="workrest",
         description="Work-rest scheduling simulator and experiment harness.",
         fromfile_prefix_chars="@",

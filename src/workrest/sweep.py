@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -133,6 +134,20 @@ class SweepRow:
             ),
         )
 
+    def __post_init__(self) -> None:
+        # Each rate is an average of ratios in [0, 1], so no run's row leaves that range.
+        for name in ("effort_avg", "expiry_avg", "completion_avg"):
+            if not 0.0 <= (value := getattr(self, name)) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def baseline_rows(runs: Sequence[tuple[tuple[PolicyParams, float], RunMetrics]], row=SweepRow.of):
+    """``row(params, lf, metrics, base)`` of each ``((params, lf), metrics)`` in ``runs``,
+    in order, where ``base`` is the metrics of the ``me`` run at load factor ``lf``, or
+    None when ``runs`` holds none: the one rule for a row's ``*_pct_of_me`` baseline."""
+    me = {lf: metrics for (params, lf), metrics in runs if params.kind == "me"}
+    return [row(params, lf, metrics, me.get(lf)) for (params, lf), metrics in runs]
+
 
 @dataclass(frozen=True)
 class PointDiagnostics:
@@ -165,11 +180,12 @@ def _run_point(args) -> tuple[RunMetrics, PointDiagnostics]:
         # A validation error stays a ValueError and a failed invariant a
         # SimulationError, so the CLI gives each its own exit code.
         kind = next((k for k in (ValueError, SimulationError) if isinstance(exc, k)), RuntimeError)
-        raise kind(
-            f"sweep point (policy={params.kind}, {params.knob_name}="
-            f"{params.knob_value}, lf={lf}) failed: {exc}"
-        ) from exc
+        raise kind(f"sweep point {_point(params, lf)} failed: {exc}") from exc
     return result.metrics, PointDiagnostics.of(result, slots)
+
+
+def _point(params: PolicyParams, lf: float) -> str:
+    return f"(policy={params.kind}, {params.knob_name}={params.knob_value}, lf={lf})"
 
 
 def _pct(value: float, baseline: float) -> float | None:
@@ -205,12 +221,7 @@ def run_sweep(
     else:
         outcomes = [_run_point(p) for p in payloads]
 
-    me = {lf: metrics for (params, lf), (metrics, _) in zip(points, outcomes)
-          if params.kind == "me"}
-    rows = [
-        SweepRow.of(params, lf, metrics, me[lf])
-        for (params, lf), (metrics, _) in zip(points, outcomes)
-    ]
+    rows = baseline_rows([*zip(points, (metrics for metrics, _ in outcomes))])
     if collect_diagnostics:
         return rows, [diag for _, diag in outcomes]
     return rows
@@ -229,8 +240,11 @@ def _columns(rows, text: int) -> list:
     the first ``text`` as they are, each other one with six decimals (``NA``
     for None). A column at a time formats faster than a row at a time."""
     columns = [*zip(*(vars(r).values() for r in rows))]
-    return columns[:text] + [[_NA if v is None else f"{v:.6f}" for v in column]
-                             for column in columns[text:]]
+    return columns[:text] + [[*map(_text, column)] for column in columns[text:]]
+
+
+def _text(value: float | None) -> str:
+    return _NA if value is None else f"{value:.6f}"
 
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
@@ -238,10 +252,11 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     return _csv_text(SWEEP_HEADER, zip(*_columns(rows, 2)))
 
 
-def _sweep_row(fields: list[str]) -> SweepRow:
-    """The ``SweepRow`` of one sweep CSV record, as ``sweep`` writes it: a policy, its knob's
-    name and value, and a load factor that ``PolicyParams`` and ``SimConfig`` accept, three
-    finite numbers, then two finite numbers or ``NA``; anything else is a ValueError."""
+def _sweep_run(fields: list[str]) -> tuple[tuple[PolicyParams, float], SweepRow]:
+    """The point and ``SweepRow`` of one sweep CSV record, as ``sweep`` writes it: a policy,
+    its knob's name and value, and a load factor that ``PolicyParams`` and ``SimConfig``
+    accept, three rates in [0, 1], then two finite numbers or ``NA``; anything else is a
+    ValueError."""
     try:
         policy, knob, *numbers = fields
         values = [*map(float, numbers[:5]), *(None if s == _NA else float(s) for s in numbers[5:])]
@@ -251,26 +266,52 @@ def _sweep_row(fields: list[str]) -> SweepRow:
             params = PolicyParams(policy, **({name: values[0]} if name else {}))
             SimConfig(slots=1, load_factor=values[1], policy=params)
             if (params.knob_name, params.knob_value) == (knob, values[0]):
-                return SweepRow(policy, knob, *values)
+                return (params, values[1]), SweepRow(policy, knob, *values)
     except ValueError as exc:
         raise ValueError(f"bad sweep row {fields!r}: {exc}") from None
     raise ValueError(f"bad sweep row {fields!r}")
 
 
+# Half a unit in the sixth decimal: the most that writing a value to six decimals moves it.
+_HALF = 5e-7
+
+
+def _stated_row(path: str, params: PolicyParams, lf: float, row: SweepRow,
+                base: SweepRow | None) -> SweepRow:
+    """``row`` of the file at ``path`` when each ``*_pct_of_me`` it states is the one its
+    rate and the rate ``b`` of its baseline row ``base`` give, up to what rounding all
+    three to six decimals allows: NA without a baseline, any value or NA when ``b``
+    rounds to zero."""
+    for rate, name in (("effort_avg", "effort_pct_of_me"),
+                       ("completion_avg", "completion_pct_of_me")):
+        a, stated = getattr(row, rate), getattr(row, name)
+        if base is None:
+            if stated is not None:
+                raise ValueError(f"{path}: row {_point(params, lf)}: {name} is {_text(stated)}, "
+                                 f"but the file has no me row at lf {lf}")
+        elif (b := getattr(base, rate)) > _HALF:
+            want = _pct(a, b)
+            slack = 100 * _HALF * (a + b + 2 * _HALF) / (b * (b - _HALF)) + _HALF
+            if stated is None or abs(stated - want) > slack:
+                raise ValueError(f"{path}: row {_point(params, lf)}: {name} is {_text(stated)}, "
+                                 f"but the me row at lf {lf} gives {_text(want)}")
+    return row
+
+
 def load_sweep_csv(path: str) -> list[SweepRow]:
-    """The rows of the sweep CSV at ``path``; a bad row, or a point that an earlier
-    row holds, is a ValueError naming its line."""
-    seen: set[tuple[str, float, float]] = set()
+    """The rows of the sweep CSV at ``path``. A bad row, or a point that an earlier row
+    holds, is a ValueError naming its line; then a ``*_pct_of_me`` that the file's own
+    ``me`` row cannot give (``_stated_row``) is one naming its point."""
+    seen: set[tuple[PolicyParams, float]] = set()
 
-    def row(fields: list[str]) -> SweepRow:
-        r = _sweep_row(fields)
-        if (point := (r.policy, r.knob_value, r.load_factor)) in seen:
-            raise ValueError(f"repeated point (policy={r.policy}, {r.knob_name}="
-                             f"{r.knob_value}, lf={r.load_factor})")
+    def record(fields: list[str]) -> tuple[tuple[PolicyParams, float], SweepRow]:
+        point, r = _sweep_run(fields)
+        if point in seen:
+            raise ValueError(f"repeated point {_point(*point)}")
         seen.add(point)
-        return r
+        return point, r
 
-    return read_csv(path, SWEEP_HEADER, row)
+    return baseline_rows(read_csv(path, SWEEP_HEADER, record), partial(_stated_row, path))
 
 
 @dataclass(frozen=True)

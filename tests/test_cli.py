@@ -15,9 +15,6 @@ from workrest.sweep import (
     PER_SLOT_HEADER,
     SWEEP_HEADER,
     SweepSpec,
-    aggregate_report,
-    load_sweep_csv,
-    report_rows_to_csv,
     run_sweep,
     sweep_rows_to_csv,
 )
@@ -166,6 +163,25 @@ class TestSimulate:
                        "--workers", workers, "--out", str(sweep)) == 0
         assert summary.read_text() == sweep.read_text()
         assert summary.read_text().splitlines()[1].endswith("NA,NA")
+
+    @pytest.mark.parametrize("deadline", ["3", "inf"])
+    def test_summary_row_is_the_sweep_row(self, tmp_path, workers_csv, deadline):
+        # one baseline rule: me is its own, and a lone cpl run has none
+        common = ["--slots", "20", "--seed", "5", "--deadline", deadline,
+                  "--workers", workers_csv]
+        sweep, me, cpl = tmp_path / "sweep.csv", tmp_path / "me.csv", tmp_path / "cpl.csv"
+        assert run_cli("sweep", "--policies", "me,cpl", "--phi-grid", "50",
+                       "--lf-grid", "0.3,0.6", *common, "--out", str(sweep)) == 0
+        assert run_cli("simulate", "--policy", "me", "--lf", "0.6", *common,
+                       "--out", str(me)) == 0
+        assert run_cli("simulate", "--policy", "cpl", "--phi", "50", "--lf", "0.6", *common,
+                       "--out", str(cpl)) == 0
+        header, _, me_row, _, cpl_row = sweep.read_text().splitlines()
+        assert me.read_text().splitlines() == [header, me_row]
+        assert me_row.endswith(",100.000000,100.000000")
+        cpl_fields = cpl.read_text().splitlines()[1].split(",")
+        assert cpl_fields == cpl_row.split(",")[:7] + ["NA", "NA"]
+        assert cpl_row.split(",")[-2:] != ["NA", "NA"]
 
     def test_missing_population_is_usage_error(self):
         assert run_cli("simulate", "--policy", "me", "--lf", "0.5") == 2
@@ -434,7 +450,7 @@ RANGE_AT_2_53 = "9007199254740992:9007199254740994:1"  # from 2**53 on, v + 1 ==
 CSV_READERS = {
     "workers": ("w.csv", [*SIMULATE_ME, "--workers"], HEADER.rstrip(), lambda i, v: f"{i},{v},3"),
     "report": ("s.csv", ["report"], ",".join(SWEEP_HEADER),
-               lambda i, v: f"me,none,0,0.{i + 1},{v},0,1,NA,NA"),
+               lambda i, v: f"me,none,0,0.{i + 1},{v},0,1,100,100"),
 }
 
 
@@ -527,7 +543,7 @@ class TestUsageErrors:
                                    ["w.csv:3: mu_max must be a whole number in [1, 2**53], "
                                     f"got {2**64}"]),
         "report-unknown-policy": report_case(
-            "me,none,0,0.5,1,0,1,NA,NA", "foo,phi,5,0.5,1,0,1,50,60",
+            "me,none,0,0.5,1,0,1,100,100", "foo,phi,5,0.5,1,0,1,50,60",
             fault="3: bad sweep row ['foo', 'phi', "),
         "report-knob-of-another-policy": report_case(
             "me,sigma,0,0.5,1,0,1,100,100", fault="2: bad sweep row ['me', 'sigma', "),
@@ -550,8 +566,33 @@ class TestUsageErrors:
             "cpl,kind,5,0.5,1,0,1,50,60",
             fault="2: bad sweep row ['cpl', 'kind', '5', '0.5', '1', '0', '1', '50', '60']\n"),
         "report-repeated-point": report_case(
-            "cpl,phi,5,0.5,1,0,1,50,60", "cpl,phi,5.0,0.50,1,0,1,50,60",
+            "cpl,phi,5,0.5,1,0,1,NA,NA", "cpl,phi,5.0,0.50,1,0,1,NA,NA",
             fault="3: repeated point (policy=cpl, phi=5.0, lf=0.5)"),
+        "report-rate-above-1": report_case(
+            "me,none,0,0.5,7,0,1,100,100",
+            fault="2: bad sweep row ['me', 'none', '0', '0.5', '7', '0', '1', '100', '100']: "
+                  "effort_avg must be in [0, 1], got 7.0"),
+        # a row's percentages are its rates over the me row's at its load factor
+        "report-pct-not-the-me-rows": report_case(
+            "me,none,0,0.5,0.8,0,1,100,100", "cpl,phi,5,0.5,0.4,0,0.9,20,30",
+            fault=" row (policy=cpl, phi=5.0, lf=0.5): effort_pct_of_me is 20.000000, "
+                  "but the me row at lf 0.5 gives 50.000000"),
+        "report-pct-without-me-row": report_case(
+            "me,none,0,0.4,0.8,0,1,100,100", "cpl,phi,5,0.5,0.4,0,0.9,NA,90",
+            fault=" row (policy=cpl, phi=5.0, lf=0.5): completion_pct_of_me is 90.000000, "
+                  "but the file has no me row at lf 0.5"),
+        "report-na-against-me-row": report_case(
+            "me,none,0,0.5,0.8,0,1,100,100", "cpl,phi,5,0.5,0.4,0,0.9,NA,90",
+            fault=" row (policy=cpl, phi=5.0, lf=0.5): effort_pct_of_me is NA, "
+                  "but the me row at lf 0.5 gives 50.000000"),
+        "report-me-pct-not-100": report_case(
+            "me,none,0,0.5,0.8,0,1,100,90",
+            fault=" row (policy=me, none=0.0, lf=0.5): completion_pct_of_me is 90.000000, "
+                  "but the me row at lf 0.5 gives 100.000000"),
+        "args-file-not-utf-8": ({"bad.args": "--lf=0.5\n--gen-n=5\n\udcff\n"},
+                                ["simulate", "@{tmp}/bad.args", "--policy", "me"],
+                                ["error: {tmp}/bad.args: not UTF-8: 'utf-8' codec can't decode "
+                                 "byte 0xff in position 19"]),
         "args-file-includes-itself": ({"loop.args": "@{tmp}/loop.args\n"},
                                       ["simulate", "@{tmp}/loop.args"],
                                       ["error: an argument file includes itself"]),
@@ -605,12 +646,15 @@ class TestExperimentConfigs:
         assert (args.gen_n, args.workers) == (20, None)
 
     def test_desk_fixture_reproduces_the_committed_results(self, desk):
-        # the grid order and the CSV writers, byte for byte
+        # the grid order and the CSV writer, byte for byte
         sweep_csv = (RESULTS / "desk_sweep.csv").read_bytes()
         assert sweep_rows_to_csv(desk.rows).encode() == sweep_csv
-        rows = load_sweep_csv(str(RESULTS / "desk_sweep.csv"))
-        report = report_rows_to_csv(aggregate_report(rows))
-        assert report.encode() == (RESULTS / "desk_report.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["desk", "scaled"])
+    def test_report_reproduces_the_committed_report(self, tmp_path, name):
+        out = tmp_path / "report.csv"
+        assert run_cli("report", str(RESULTS / f"{name}_sweep.csv"), "--out", str(out)) == 0
+        assert out.read_bytes() == (RESULTS / f"{name}_report.csv").read_bytes()
 
     @pytest.mark.parametrize("name", ["desk", "scaled"])
     def test_config_sweep_equals_run_sweep(self, tmp_path, capsys, name):

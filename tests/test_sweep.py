@@ -198,16 +198,63 @@ class TestCsvRoundTrip:
         assert sweep_rows_to_csv(load_sweep_csv(str(RESULTS / name))) == text
 
     def test_every_field_round_trips(self, tmp_path):
-        # distinct values in every numeric field, so no two columns can swap
+        # distinct values in every numeric field, so no two columns can swap;
+        # the cpl row's percentages are its rates over the me row's
         rows = [
             SweepRow(policy="mt", knob_name="theta1", knob_value=0.25, load_factor=0.5,
-                     effort_avg=1.5, expiry_avg=0.125, completion_avg=2.75,
+                     effort_avg=0.375, expiry_avg=0.125, completion_avg=0.6875,
                      effort_pct_of_me=None, completion_pct_of_me=None),
+            SweepRow(policy="me", knob_name="none", knob_value=0.0, load_factor=0.75,
+                     effort_avg=0.8, expiry_avg=0.03125, completion_avg=0.9,
+                     effort_pct_of_me=100.0, completion_pct_of_me=100.0),
             SweepRow(policy="cpl", knob_name="phi", knob_value=50.0, load_factor=0.75,
-                     effort_avg=3.5, expiry_avg=0.0625, completion_avg=4.25,
+                     effort_avg=0.3, expiry_avg=0.0625, completion_avg=0.5625,
                      effort_pct_of_me=37.5, completion_pct_of_me=62.5),
         ]
         assert load_text(tmp_path, sweep_rows_to_csv(rows)) == rows
+
+    @pytest.mark.parametrize("deadline", [3, None])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mu_max_dist", [(1, 10), (1, 1)], ids=["mixed", "unit"])
+    def test_every_sweep_file_loads(self, tmp_path, mu_max_dist, seed, deadline):
+        # whatever sweep writes, report reads: the percentage check allows
+        # the rounding of every value it reads
+        population = generate(PopulationSpec(count=10 + 20 * seed, mu_max_dist=mu_max_dist,
+                                             seed=seed))
+        spec = SweepSpec(phi_grid=(5.0, 50.0), sigma_grid=(5.0, 50.0), theta1_grid=(0.2, 0.8),
+                         theta2_grid=(0.2, 0.8), lf_grid=(0.1, 0.5, 1.0), slots=20, seed=seed,
+                         deadline=deadline)
+        text = sweep_rows_to_csv(run_sweep(spec, population))
+        rows = load_text(tmp_path, text)
+        assert sweep_rows_to_csv(rows) == text
+        if mu_max_dist == (1, 1):
+            # floor(mood * 1) is 0 below a mood of 1: me completes nothing
+            assert all(r.completion_avg == 0.0 for r in rows if r.policy == "me")
+            assert all(r.completion_pct_of_me is None for r in rows)
+
+    @pytest.mark.parametrize("cpl,loads", [
+        # the effort slack at a = 0.4, b = 0.8 is 100h(a + b + 2h) / (b(b - h)) + h ~ 9.43e-5
+        ("cpl,phi,5,0.5,0.4,0,0.9,50.000094,90.000094", True),
+        ("cpl,phi,5,0.5,0.4,0,0.9,49.999906,89.999906", True),
+        ("cpl,phi,5,0.5,0.4,0,0.9,50.000095,90", False),
+        ("cpl,phi,5,0.5,0.4,0,0.9,50,89.9999", False),
+        ("cpl,phi,5,0.5,0.4,0,0.9,NA,90", False),
+    ])
+    def test_percentage_slack_is_the_rounding_error(self, tmp_path, cpl, loads):
+        text = f"{','.join(SWEEP_HEADER)}\nme,none,0,0.5,0.8,0,1,100,100\n{cpl}\n"
+        if loads:
+            assert len(load_text(tmp_path, text)) == 2
+        else:
+            with pytest.raises(ValueError, match=r"s\.csv: row \(policy=cpl, phi=5\.0, lf=0\.5\)"):
+                load_text(tmp_path, text)
+
+    def test_any_percentage_against_a_baseline_that_rounds_to_zero(self, tmp_path):
+        # a me rate written as 0.000000 may be any rate below 5e-7, so any
+        # percentage of it, or NA, is one a sweep could write; so is one of
+        # a rate that rounds to zero, written with more decimals
+        text = (f"{','.join(SWEEP_HEADER)}\nme,none,0,0.5,0,0,0.0000004,NA,NA\n"
+                "cpl,phi,5,0.5,0,0,0.9,NA,12345\ncpl,phi,6,0.5,0,0,0.9,7,NA\n")
+        assert [r.completion_pct_of_me for r in load_text(tmp_path, text)] == [None, 12345.0, None]
 
     @pytest.mark.parametrize("bad", [
         "me,none,0,0.5,x,0,1,100,100",  # not a number
@@ -223,11 +270,14 @@ class TestCsvRoundTrip:
         "me,none,5,0.5,1,0,1,100,100",  # me reads no knob, so its value is 0
         "mt,theta1,1.5,0.5,1,0,1,50,60",  # theta1 outside [0, 1]
         "cpl,kind,5,0.5,1,0,1,50,60",  # a PolicyParams argument, not cpl's knob
+        "me,none,0,0.5,7,0,1,100,100",  # rates lie in [0, 1]
+        "me,none,0,0.5,1,-0.5,1,100,100",
+        "me,none,0,0.5,1,0,1.5,100,100",
     ])
     def test_bad_row_names_its_line(self, tmp_path, bad):
         # the header is line 1, a quoted newline makes the first row lines
         # 2-3, line 4 is blank, and the bad row is line 5
-        good = "me,none,0,0.5,1,0,1,NA,NA"
+        good = "me,none,0,0.5,1,0,1,100,100"
         text = ",".join(SWEEP_HEADER) + f'\nme,none,"0\n",{good[10:]}\n\n{bad}\n{good}\n'
         policy, knob = bad.split(",")[:2]
         with pytest.raises(ValueError, match=rf"s\.csv:5: bad sweep row \['{policy}', '{knob}', "):

@@ -27,6 +27,7 @@ from .sweep import (
     MAX_GRID_POINTS,
     PointDiagnostics,
     SweepSpec,
+    _stated,
     aggregate_report,
     baseline_rows,
     load_sweep_csv,
@@ -126,12 +127,6 @@ def _resolve_population(args: argparse.Namespace):
     return generate(PopulationSpec(count=args.gen_n, seed=args.seed))
 
 
-def _build_policy(args: argparse.Namespace) -> PolicyParams:
-    """The policy of the knob flags that were given; ``PolicyParams`` checks them."""
-    knobs = {name: getattr(args, name) for name in _KNOBS if getattr(args, name) is not None}
-    return PolicyParams(args.policy.lower(), **knobs)
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -163,15 +158,14 @@ def cmd_gen_workers(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    policy = _build_policy(args)
+    knobs = {name: getattr(args, name) for name in _KNOBS if getattr(args, name) is not None}
+    policy = PolicyParams(args.policy.lower(), **knobs)
     population = _resolve_population(args)
-    config = SimConfig(
-        slots=args.slots,
-        load_factor=args.lf,
-        policy=policy,
-        seed=args.seed,
-        deadline=args.deadline,
-    )
+    config = SimConfig(args.slots, args.lf, policy, args.seed, args.deadline)
+    # The summary row must read back as its point, as a sweep row must.
+    for name, value in knobs.items():
+        _stated(f"--{name}", value, lambda v: PolicyParams(policy.kind, **{name: v}))
+    _stated("--lf", args.lf, lambda lf: dataclasses.replace(config, load_factor=lf))
     result = run(config, population, keep_reports=args.per_slot is not None)
     # A sweep's baseline rule, over this one run.
     rows = baseline_rows([((policy, args.lf), result.metrics)])
@@ -185,9 +179,7 @@ def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
     """The grid of the flags that were given; ``SweepSpec`` fills in the rest."""
     grids = {name: getattr(args, name) for name in _GRIDS if getattr(args, name) is not None}
     if args.policies is not None:
-        grids["policies"] = tuple(
-            p.strip().lower() for p in args.policies.split(",") if p.strip()
-        )
+        grids["policies"] = tuple(p.lower() for p in map(str.strip, args.policies.split(",")) if p)
     return SweepSpec(**grids, slots=args.slots, seed=args.seed, deadline=args.deadline)
 
 

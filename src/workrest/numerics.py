@@ -9,8 +9,9 @@ integer, the double can land an ulp *below* it (``0.29 * 100`` is
 1/2, so every integer maps to itself (``x * 2**-48`` would bump 2**48 by one);
 below 2**47 it is a relative 2**-48, far above the rounding of one product
 (2**-53); below 2**41 it is under 0.01, the spacing of the 0.01-granular mood and
-threshold grids used in experiments. A run's products stay below 2**32, the
-bound on its capacities (``SimState.from_population``).
+threshold grids used in experiments. A run's products are at most its largest
+capacity g, and g < 2**31.5 < 2**32: ``SimState.from_population`` refuses a run
+whose int64 drift sums could reach 2**63, and g**2 <= n * (slots * g)**2 is one.
 """
 
 from __future__ import annotations

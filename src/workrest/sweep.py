@@ -59,46 +59,42 @@ class SweepSpec:
     deadline: int | None = SimConfig.deadline
 
     def __post_init__(self) -> None:
-        for kind in self.policies:
-            if kind not in POLICY_KINDS:
-                raise ValueError(f"unknown policy {kind!r}")
-            knob = KNOB_FIELDS[kind]
-            if knob is not None and not getattr(self, f"{knob}_grid"):
-                raise ValueError(f"policy {kind!r} selected but its knob grid is empty")
-        if not self.lf_grid:
-            raise ValueError("lf_grid must be non-empty")
-        # A repeated grid value would run twice and weigh double in the report.
-        for name in ("lf", *filter(None, KNOB_FIELDS.values())):
-            seen: set[float] = set()
-            for value in getattr(self, f"{name}_grid"):
-                if value in seen:
-                    raise ValueError(f"{name}_grid repeats {value}")
-                seen.add(value)
-        knob_values = sum(len(getattr(self, f"{knob}_grid"))
-                          for kind, knob in KNOB_FIELDS.items() if knob and kind in self.policies)
-        points = (1 + knob_values) * len(self.lf_grid)
-        if points > MAX_GRID_POINTS:
+        if unknown := [kind for kind in self.policies if kind not in POLICY_KINDS]:
+            raise ValueError(f"unknown policy {unknown[0]!r}")
+        # One walk over every grid value, selected or not (a load factor at an ``me`` point):
+        # each must be a valid point as given and as the sweep file states it (``_stated``),
+        # and no two may read back equal. Repeats raise at once, a bad value after the bound.
+        run_me = partial(SimConfig, self.slots, policy=PolicyParams("me"), seed=self.seed,
+                         deadline=self.deadline)
+        invalid, points = None, 1
+        for kind, knob in KNOB_FIELDS.items():
+            name, seen = f"{knob or 'lf'}_grid", {}
+            if not (grid := getattr(self, name)) and (knob is None or kind in self.policies):
+                raise ValueError(f"{name} must be non-empty")
+            check = run_me if knob is None else lambda v: PolicyParams(kind, **{knob: v})
+            for value in grid:
+                if (stated := float(_text(value))) in seen:
+                    raise ValueError(f"{name} repeats {seen[stated]}" + (
+                        "" if seen[stated] == value else f" as the sweep file states it ({value})"))
+                seen[stated] = value
+                try:
+                    _stated(name, value, check)
+                except ValueError as exc:
+                    invalid = invalid or exc
+            points += len(grid) if knob and kind in self.policies else 0
+        if (points := points * len(self.lf_grid)) > MAX_GRID_POINTS:
             raise ValueError(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
-        # Every grid value, selected or not, must make a valid point: the
-        # ranges are PolicyParams' and SimConfig's own checks.
-        self._knob_params(POLICY_KINDS)
-        me = PolicyParams(kind="me")
-        for lf in self.lf_grid:
-            SimConfig(slots=self.slots, load_factor=lf, policy=me, seed=self.seed,
-                      deadline=self.deadline)
-
-    def _knob_params(self, kinds: Sequence[str]) -> list[PolicyParams]:
-        """Each knob policy in ``kinds`` at each value of its grid."""
-        return [
-            PolicyParams(kind=kind, **{knob: value})
-            for kind, knob in KNOB_FIELDS.items() if knob is not None and kind in kinds
-            for value in getattr(self, f"{knob}_grid")
-        ]
+        if invalid is not None:
+            raise invalid
 
     def grid_points(self) -> list[tuple[PolicyParams, float]]:
-        """Deterministic run order: ME rows first, then each policy's grid."""
-        me = PolicyParams(kind="me")
-        return [(p, lf) for p in [me] + self._knob_params(self.policies) for lf in self.lf_grid]
+        """Deterministic run order: ME rows first, then each selected policy's grid."""
+        params = [PolicyParams("me")] + [
+            PolicyParams(kind, **{knob: value})
+            for kind, knob in KNOB_FIELDS.items() if knob is not None and kind in self.policies
+            for value in getattr(self, f"{knob}_grid")
+        ]
+        return [(p, lf) for p in params for lf in self.lf_grid]
 
 
 @dataclass(frozen=True)
@@ -172,15 +168,13 @@ class PointDiagnostics:
 def _run_point(args) -> tuple[RunMetrics, PointDiagnostics]:
     population, params, lf, slots, seed, deadline = args
     try:
-        config = SimConfig(
-            slots=slots, load_factor=lf, policy=params, seed=seed, deadline=deadline
-        )
-        result = run(config, population, keep_reports=False)
+        result = run(SimConfig(slots, lf, params, seed, deadline), population, keep_reports=False)
     except Exception as exc:
         # A validation error stays a ValueError and a failed invariant a
         # SimulationError, so the CLI gives each its own exit code.
         kind = next((k for k in (ValueError, SimulationError) if isinstance(exc, k)), RuntimeError)
-        raise kind(f"sweep point {_point(params, lf)} failed: {exc}") from exc
+        reason = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        raise kind(f"sweep point {_point(params, lf)} failed: {reason}") from exc
     return result.metrics, PointDiagnostics.of(result, slots)
 
 
@@ -214,7 +208,9 @@ def run_sweep(
         (tuple(population), params, lf, spec.slots, spec.seed, spec.deadline)
         for params, lf in points
     ]
-    processes = min(jobs, len(points), os.cpu_count() or 1)
+    # The CPUs this process may run on, where the platform says which.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(jobs, len(points), cpus or 1)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             outcomes = list(pool.map(_run_point, payloads, chunksize=4))
@@ -245,6 +241,17 @@ def _columns(rows, text: int) -> list:
 
 def _text(value: float | None) -> str:
     return _NA if value is None else f"{value:.6f}"
+
+
+def _stated(label: str, value: float, check) -> None:
+    """Refuse ``value`` unless ``check`` accepts it as given and as a sweep file states it,
+    read back from six decimals (``_text``), so the point runs and ``report`` reads its row
+    back; a stated value that ``check`` refuses names ``label``, the value and its text."""
+    check(value)
+    try:
+        check(float(text := _text(value)))
+    except ValueError as exc:
+        raise ValueError(f"{label} {value} as the sweep file states it ({text}): {exc}") from None
 
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:

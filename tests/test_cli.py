@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import DESK_N, DESK_SEED, desk_sweep_spec, lossy_apportion
-from workrest import cli, engine
+from workrest import cli, engine, sweep
 from workrest.cli import main
 from workrest.engine import SimConfig
 from workrest.policies import PolicyParams
@@ -339,6 +339,21 @@ class TestSimulate:
 
 
 class TestSweepAndReport:
+    @pytest.mark.parametrize("error,message", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "Unable to allocate 74.5 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_point_out_of_memory_names_the_point(self, monkeypatch, capsys, error, message):
+        def run_too_much(config, population, keep_reports):
+            raise error
+
+        monkeypatch.setattr(sweep, "run", run_too_much)
+        assert run_cli("sweep", "--gen-n", "5", "--slots", "3", "--policies", "me",
+                       "--lf-grid", "0.5") == 1
+        assert capsys.readouterr() == (
+            "", f"error: sweep point (policy=me, none=0.0, lf=0.5) failed: {message}\n")
+
     def test_pipeline(self, tmp_path, workers_csv):
         sweep_out = tmp_path / "sweep.csv"
         code = run_cli(
@@ -442,6 +457,7 @@ class TestSweepAndReport:
 SIMULATE_ME = ["simulate", "--policy", "me", "--lf", "0.5", "--slots", "5"]
 SWEEP_ME = ["sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "5", "--gen-n", "5"]
 HEADER = "worker_id,reputation,mu_max\n"
+SWEEP_EDGE = ["sweep", "--gen-n", "20", "--slots", "5", "--policies"]
 RANGE_AT_2_53 = "9007199254740992:9007199254740994:1"  # from 2**53 on, v + 1 == v
 # The two input files: the name and command of each, its header, and its
 # record ``i`` with value ``v`` in a numeric field. Records differ in their
@@ -601,6 +617,27 @@ class TestUsageErrors:
         "grid-inf": ({}, ["sweep", "--gen-n", "3", "--slots", "3", "--policies", "cpl",
                           "--phi-grid", "1e308,inf", "--lf-grid", "0.5"],
                      ["cpl requires a finite phi, got inf"]),
+        # a value that the sweep file states as another value, or as one
+        # that is not a point, so report would refuse the file
+        "grid-values-alike-as-stated": ({}, [*SWEEP_EDGE, "me,mt", "--theta1-grid",
+                                             "0.3,0.30000001", "--lf-grid", "0.5"],
+                                        ["error: theta1_grid repeats 0.3 as the sweep file "
+                                         "states it (0.30000001)\n"]),
+        "grid-lf-stated-as-zero": ({}, [*SWEEP_EDGE, "me,cpl", "--phi-grid", "1e-7",
+                                        "--lf-grid", "0.5,4e-7"],
+                                   ["error: lf_grid 4e-07 as the sweep file states it (0.000000): "
+                                    "load_factor must be in (0, 1], got 0.0\n"]),
+        "grid-knob-stated-as-zero": ({}, [*SWEEP_EDGE, "me,cpl", "--phi-grid", "1e-7",
+                                          "--lf-grid", "0.5"],
+                                     ["error: phi_grid 1e-07 as the sweep file states it "
+                                      "(0.000000): cpl requires phi > 0, got 0.0\n"]),
+        "knob-stated-as-zero": ({}, ["simulate", "--gen-n", "20", "--slots", "5", "--policy",
+                                     "cpl", "--phi", "1e-7", "--lf", "0.5"],
+                                ["error: --phi 1e-07 as the sweep file states it (0.000000): "
+                                 "cpl requires phi > 0, got 0.0\n"]),
+        "lf-stated-as-zero": ({}, [*SIMULATE_ME, "--gen-n", "5", "--lf", "4e-7"],
+                              ["error: --lf 4e-07 as the sweep file states it (0.000000): "
+                               "load_factor must be in (0, 1], got 0.0\n"]),
         **csv_fault_cases(),
     }
 
@@ -614,6 +651,7 @@ class TestUsageErrors:
         assert run_cli(*map(at, argv)) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("error:") == 1, err
+        assert "drift-bound violations" not in err, err  # no point ran
         assert all(at(f) in err for f in fragments), err
 
 

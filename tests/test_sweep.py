@@ -3,8 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import workrest.sweep as sweep_mod
+from workrest.policies import KNOB_FIELDS
 from workrest.population import PopulationSpec, generate
 from workrest.sweep import (
     SWEEP_HEADER,
@@ -32,6 +35,22 @@ def tiny_population():
     return generate(PopulationSpec(count=12, seed=3))
 
 
+@pytest.fixture(scope="module")
+def edge_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("edge") / "s.csv"
+
+
+# Grid values at the edge of the six decimals a sweep file states them with:
+# positives below 5e-7, values with eight decimals, and values within 1e-6 of
+# one another, so a grid may hold two that the file states alike.
+EDGE_GRID = st.lists(st.one_of(
+    st.floats(0.0, 5e-7),
+    st.integers(1, 10**8).map(lambda i: i / 10**8),
+    st.tuples(st.sampled_from([0.3, 0.5, 1.0]), st.integers(-9, 9)).map(
+        lambda bk: bk[0] + bk[1] * 1e-7),
+), min_size=1, max_size=3).map(tuple)
+
+
 def tiny_spec(**overrides):
     base = dict(
         policies=("me", "cpl"),
@@ -46,6 +65,16 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+# (jobs, CPUs, pool processes) of ``test_pool_size_is_bounded``
+POOL_CASES = [
+    (2, 8, 2),
+    (64, 8, 3),  # no more processes than the grid's 3 points
+    (64, 2, 2),  # nor than the CPUs
+    (64, None, 1),  # an unknown CPU count counts as one
+    (2, 1, 1),
+]
 
 
 class TestGrid:
@@ -73,14 +102,14 @@ class TestGrid:
         assert serial == parallel
         assert sweep_rows_to_csv(serial) == sweep_rows_to_csv(parallel)
 
-    @pytest.mark.parametrize("jobs,cpus,processes", [
-        (2, 8, 2),
-        (64, 8, 3),  # no more processes than the grid's 3 points
-        (64, 2, 2),  # nor than the CPUs
-        (64, None, 1),  # an unknown CPU count counts as one
-        (2, 1, 1),
-    ])
-    def test_pool_size_is_bounded(self, tiny_population, monkeypatch, jobs, cpus, processes):
+    # The CPUs are those this process may run on, or, on a platform that cannot
+    # say, the machine's; an affinity set is never unknown.
+    @pytest.mark.parametrize("affinity,jobs,cpus,processes", [
+        (affinity, *case) for affinity in (True, False) for case in POOL_CASES
+        if not (affinity and case[1] is None)])
+    def test_pool_size_is_bounded(
+        self, tiny_population, monkeypatch, affinity, jobs, cpus, processes
+    ):
         sizes = []
 
         class InProcessPool:
@@ -99,7 +128,13 @@ class TestGrid:
         spec = tiny_spec(lf_grid=(0.1,))
         serial = run_sweep(spec, tiny_population)
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
+        if affinity:  # the machine has more CPUs than this process may use
+            monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(sweep_mod.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
         assert run_sweep(spec, tiny_population, jobs=jobs) == serial
         # one process runs the grid in this one, with no pool
         assert sizes == ([processes] if processes > 1 else [])
@@ -135,6 +170,15 @@ class TestGrid:
         # the message names the value, not the whole grid
         ({"sigma_grid": tuple(float(v) for v in range(1, 10_000)) + (7.0,)},
          "sigma_grid repeats 7.0"),
+        # values that compare equal repeat, whatever their text
+        ({"theta1_grid": (0.0, -0.0)}, "theta1_grid repeats 0.0"),
+        # and so do values that the sweep file states alike, in either order
+        ({"theta1_grid": (0.3, 0.30000001)},
+         "theta1_grid repeats 0.3 as the sweep file states it (0.30000001)"),
+        ({"theta1_grid": (0.30000001, 0.3)},
+         "theta1_grid repeats 0.30000001 as the sweep file states it (0.3)"),
+        ({"lf_grid": (0.5, 0.5000004)},
+         "lf_grid repeats 0.5 as the sweep file states it (0.5000004)"),
     ])
     def test_repeated_grid_value_rejected(self, grids, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -231,6 +275,19 @@ class TestCsvRoundTrip:
             # floor(mood * 1) is 0 below a mood of 1: me completes nothing
             assert all(r.completion_avg == 0.0 for r in rows if r.policy == "me")
             assert all(r.completion_pct_of_me is None for r in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["mt", "mw", "ac", "cpl"]), knobs=EDGE_GRID, lfs=EDGE_GRID)
+    def test_what_sweep_accepts_report_reads(self, tiny_population, edge_csv, kind, knobs, lfs):
+        # a grid SweepSpec accepts makes a file that loads back and re-writes unchanged
+        try:
+            spec = SweepSpec(policies=("me", kind), lf_grid=lfs, slots=3,
+                             **{f"{KNOB_FIELDS[kind]}_grid": knobs})
+        except ValueError:
+            return
+        text = sweep_rows_to_csv(run_sweep(spec, tiny_population))
+        edge_csv.write_text(text)
+        assert sweep_rows_to_csv(load_sweep_csv(str(edge_csv))) == text
 
     @pytest.mark.parametrize("cpl,loads", [
         # the effort slack at a = 0.4, b = 0.8 is 100h(a + b + 2h) / (b(b - h)) + h ~ 9.43e-5

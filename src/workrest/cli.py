@@ -27,7 +27,6 @@ from .sweep import (
     MAX_GRID_POINTS,
     PointDiagnostics,
     SweepSpec,
-    _stated,
     aggregate_report,
     baseline_rows,
     load_sweep_csv,
@@ -162,10 +161,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     policy = PolicyParams(args.policy.lower(), **knobs)
     population = _resolve_population(args)
     config = SimConfig(args.slots, args.lf, policy, args.seed, args.deadline)
-    # The summary row must read back as its point, as a sweep row must.
-    for name, value in knobs.items():
-        _stated(f"--{name}", value, lambda v: PolicyParams(policy.kind, **{name: v}))
-    _stated("--lf", args.lf, lambda lf: dataclasses.replace(config, load_factor=lf))
     result = run(config, population, keep_reports=args.per_slot is not None)
     # A sweep's baseline rule, over this one run.
     rows = baseline_rows([((policy, args.lf), result.metrics)])

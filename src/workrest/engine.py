@@ -59,6 +59,8 @@ class SimConfig:
             raise ValueError(f"load_factor must be in (0, 1], got {self.load_factor}")
         if self.deadline is not None and self.deadline < 1:
             raise ValueError(f"deadline must be >= 1, got {self.deadline}")
+        if not 0 <= self.seed < 2**64:  # the generator reads a seed as a 64-bit word
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

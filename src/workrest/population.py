@@ -56,6 +56,8 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
+        if not 0 <= self.seed < 2**64:  # the generator reads a seed as a 64-bit word
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for lo, hi in (self.reputation_dist, self.mu_max_dist):
             if hi < lo:
                 raise ValueError(f"uniform bounds out of order: [{lo}, {hi}]")

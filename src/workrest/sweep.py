@@ -62,8 +62,8 @@ class SweepSpec:
         if unknown := [kind for kind in self.policies if kind not in POLICY_KINDS]:
             raise ValueError(f"unknown policy {unknown[0]!r}")
         # One walk over every grid value, selected or not (a load factor at an ``me`` point):
-        # each must be a valid point as given and as the sweep file states it (``_stated``),
-        # and no two may read back equal. Repeats raise at once, a bad value after the bound.
+        # each must be a valid point, and no two of one grid may be equal. Repeats raise
+        # at once, a bad value after the bound.
         run_me = partial(SimConfig, self.slots, policy=PolicyParams("me"), seed=self.seed,
                          deadline=self.deadline)
         invalid, points = None, 1
@@ -73,12 +73,11 @@ class SweepSpec:
                 raise ValueError(f"{name} must be non-empty")
             check = run_me if knob is None else lambda v: PolicyParams(kind, **{knob: v})
             for value in grid:
-                if (stated := float(_text(value))) in seen:
-                    raise ValueError(f"{name} repeats {seen[stated]}" + (
-                        "" if seen[stated] == value else f" as the sweep file states it ({value})"))
-                seen[stated] = value
+                if value in seen:
+                    raise ValueError(f"{name} repeats {seen[value]}")
+                seen[value] = value
                 try:
-                    _stated(name, value, check)
+                    check(value)
                 except ValueError as exc:
                     invalid = invalid or exc
             points += len(grid) if knob and kind in self.policies else 0
@@ -115,7 +114,8 @@ class SweepRow:
     def of(
         cls, params: PolicyParams, lf: float, metrics: RunMetrics, base: RunMetrics | None
     ) -> "SweepRow":
-        """The row of one run against its ``me`` baseline ``base`` (none: NA)."""
+        """The row of one run's rates ``metrics`` against those of its ``me`` baseline
+        ``base`` (none: NA); a ``SweepRow`` read back serves for either."""
         return cls(
             policy=params.kind,
             knob_name=params.knob_name,
@@ -231,32 +231,29 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
-def _columns(rows, text: int) -> list:
+def _columns(rows, text: int, number) -> list:
     """The columns of dataclass ``rows``, one per field in declaration order:
-    the first ``text`` as they are, each other one with six decimals (``NA``
-    for None). A column at a time formats faster than a row at a time."""
+    the first ``text`` as they are, each other one as ``number`` writes a value.
+    A column at a time formats faster than a row at a time."""
     columns = [*zip(*(vars(r).values() for r in rows))]
-    return columns[:text] + [[*map(_text, column)] for column in columns[text:]]
+    return columns[:text] + [[*map(number, column)] for column in columns[text:]]
 
 
 def _text(value: float | None) -> str:
+    """``value`` as the sweep file states it: the shortest text that reads back as
+    the same double (``repr``), or ``NA`` for None."""
+    return _NA if value is None else repr(float(value))
+
+
+def _decimals(value: float | None) -> str:
+    """``value`` with six decimals, for the files people read, or ``NA`` for None."""
     return _NA if value is None else f"{value:.6f}"
 
 
-def _stated(label: str, value: float, check) -> None:
-    """Refuse ``value`` unless ``check`` accepts it as given and as a sweep file states it,
-    read back from six decimals (``_text``), so the point runs and ``report`` reads its row
-    back; a stated value that ``check`` refuses names ``label``, the value and its text."""
-    check(value)
-    try:
-        check(float(text := _text(value)))
-    except ValueError as exc:
-        raise ValueError(f"{label} {value} as the sweep file states it ({text}): {exc}") from None
-
-
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    """The sweep CSV: its columns are ``SweepRow``'s fields in declaration order."""
-    return _csv_text(SWEEP_HEADER, zip(*_columns(rows, 2)))
+    """The sweep CSV: its columns are ``SweepRow``'s fields in declaration order, each
+    number as ``_text`` states it, so the file reads back as ``rows`` exactly."""
+    return _csv_text(SWEEP_HEADER, zip(*_columns(rows, 2, _text)))
 
 
 def _sweep_run(fields: list[str]) -> tuple[tuple[PolicyParams, float], SweepRow]:
@@ -279,36 +276,25 @@ def _sweep_run(fields: list[str]) -> tuple[tuple[PolicyParams, float], SweepRow]
     raise ValueError(f"bad sweep row {fields!r}")
 
 
-# Half a unit in the sixth decimal: the most that writing a value to six decimals moves it.
-_HALF = 5e-7
-
-
 def _stated_row(path: str, params: PolicyParams, lf: float, row: SweepRow,
                 base: SweepRow | None) -> SweepRow:
-    """``row`` of the file at ``path`` when each ``*_pct_of_me`` it states is the one its
-    rate and the rate ``b`` of its baseline row ``base`` give, up to what rounding all
-    three to six decimals allows: NA without a baseline, any value or NA when ``b``
-    rounds to zero."""
-    for rate, name in (("effort_avg", "effort_pct_of_me"),
-                       ("completion_avg", "completion_pct_of_me")):
-        a, stated = getattr(row, rate), getattr(row, name)
-        if base is None:
-            if stated is not None:
-                raise ValueError(f"{path}: row {_point(params, lf)}: {name} is {_text(stated)}, "
-                                 f"but the file has no me row at lf {lf}")
-        elif (b := getattr(base, rate)) > _HALF:
-            want = _pct(a, b)
-            slack = 100 * _HALF * (a + b + 2 * _HALF) / (b * (b - _HALF)) + _HALF
-            if stated is None or abs(stated - want) > slack:
-                raise ValueError(f"{path}: row {_point(params, lf)}: {name} is {_text(stated)}, "
-                                 f"but the me row at lf {lf} gives {_text(want)}")
+    """``row`` of the file at ``path`` when each ``*_pct_of_me`` it states is exactly the
+    one ``SweepRow.of`` gives from its rates and those of its baseline row ``base``:
+    ``_pct`` of the two, NA without a baseline or at a baseline rate of 0."""
+    want = SweepRow.of(params, lf, row, base)
+    for name in ("effort_pct_of_me", "completion_pct_of_me"):
+        if (stated := getattr(row, name)) != (given := getattr(want, name)):
+            source = (f"the file has no me row at lf {lf}" if base is None
+                      else f"the me row at lf {lf} gives {_text(given)}")
+            raise ValueError(f"{path}: row {_point(params, lf)}: {name} is {_text(stated)}, "
+                             f"but {source}")
     return row
 
 
 def load_sweep_csv(path: str) -> list[SweepRow]:
     """The rows of the sweep CSV at ``path``. A bad row, or a point that an earlier row
-    holds, is a ValueError naming its line; then a ``*_pct_of_me`` that the file's own
-    ``me`` row cannot give (``_stated_row``) is one naming its point."""
+    holds, is a ValueError naming its line; then a ``*_pct_of_me`` other than the one
+    the file's own ``me`` row gives (``_stated_row``) is one naming its point."""
     seen: set[tuple[PolicyParams, float]] = set()
 
     def record(fields: list[str]) -> tuple[tuple[PolicyParams, float], SweepRow]:
@@ -371,9 +357,9 @@ def aggregate_report(rows: Sequence[SweepRow]) -> list[ReportRow]:
 
 def report_rows_to_csv(rows: Sequence[ReportRow]) -> str:
     """The report CSV: ``ReportRow``'s fields in declaration order, then ``region``."""
-    return _csv_text(REPORT_HEADER, zip(*_columns(rows, 1), [r.region for r in rows]))
+    return _csv_text(REPORT_HEADER, zip(*_columns(rows, 1, _decimals), [r.region for r in rows]))
 
 
 def per_slot_csv(reports) -> str:
     """The per-slot CSV: ``SlotReport``'s fields in declaration order."""
-    return _csv_text(PER_SLOT_HEADER, zip(*_columns(reports, 5)))
+    return _csv_text(PER_SLOT_HEADER, zip(*_columns(reports, 5, _decimals)))

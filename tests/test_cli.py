@@ -20,6 +20,9 @@ from workrest.sweep import (
 )
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
+SIMULATE_ME = ["simulate", "--policy", "me", "--lf", "0.5", "--slots", "5"]
+SWEEP_ME = ["sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "5", "--gen-n", "5"]
+SWEEP_EDGE = ["sweep", "--gen-n", "20", "--slots", "5", "--policies"]
 
 
 def run_cli(*argv):
@@ -114,7 +117,7 @@ class TestSimulate:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("policy,knob,knob_value,lf,effort_avg")
-        assert lines[1].startswith("cpl,phi,5.000000,0.500000,")
+        assert lines[1].startswith("cpl,phi,5.0,0.5,")
         assert lines[1].endswith("NA,NA")
 
     def test_me_summary_self_normalizes(self, tmp_path, workers_csv):
@@ -123,7 +126,7 @@ class TestSimulate:
             "simulate", "--policy", "me", "--lf", "0.5", "--slots", "50",
             "--workers", workers_csv, "--out", str(out),
         )
-        assert out.read_text().splitlines()[1].endswith("100.000000,100.000000")
+        assert out.read_text().splitlines()[1].endswith(",100.0,100.0")
 
     def test_knob_mismatch_is_usage_error(self, workers_csv):
         code = run_cli(
@@ -178,7 +181,7 @@ class TestSimulate:
                        "--out", str(cpl)) == 0
         header, _, me_row, _, cpl_row = sweep.read_text().splitlines()
         assert me.read_text().splitlines() == [header, me_row]
-        assert me_row.endswith(",100.000000,100.000000")
+        assert me_row.endswith(",100.0,100.0")
         cpl_fields = cpl.read_text().splitlines()[1].split(",")
         assert cpl_fields == cpl_row.split(",")[:7] + ["NA", "NA"]
         assert cpl_row.split(",")[-2:] != ["NA", "NA"]
@@ -237,7 +240,7 @@ class TestSimulate:
         )
         assert code == 0
         # no expiry possible
-        assert out.read_text().splitlines()[1].split(",")[5] == "0.000000"
+        assert out.read_text().splitlines()[1].split(",")[5] == "0.0"
 
     def test_gen_n_population(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -439,6 +442,24 @@ class TestSweepAndReport:
                        "--slots", "5", "--workers", workers_csv) == 2
         assert capsys.readouterr() == ("", "error: cpl requires phi > 0, got nan\n")
 
+    @pytest.mark.parametrize("argv,points", [
+        ([*SWEEP_EDGE, "me,mt", "--theta1-grid", "0.3,0.30000001", "--lf-grid", "0.5"],
+         [("me", 0.0, 0.5), ("mt", 0.3, 0.5), ("mt", 0.30000001, 0.5)]),
+        ([*SWEEP_EDGE, "me,cpl", "--phi-grid", "1e-7", "--lf-grid", "0.5,4e-7"],
+         [("me", 0.0, 0.5), ("me", 0.0, 4e-7), ("cpl", 1e-7, 0.5), ("cpl", 1e-7, 4e-7)]),
+        (["simulate", "--gen-n", "20", "--slots", "5", "--policy", "cpl", "--phi", "1e-7",
+          "--lf", "0.5"], [("cpl", 1e-7, 0.5)]),
+        ([*SIMULATE_ME, "--gen-n", "5", "--lf", "4e-7"], [("me", 0.0, 4e-7)]),
+    ], ids=["near-theta1", "tiny-phi-and-lf", "simulate-tiny-phi", "simulate-tiny-lf"])
+    def test_points_read_back_as_themselves(self, tmp_path, argv, points):
+        # the file states every value exactly, so values that six decimals
+        # would merge, or write as 0, read back as the points that ran
+        out = tmp_path / "s.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        rows = sweep.load_sweep_csv(str(out))
+        assert [(r.policy, r.knob_value, r.load_factor) for r in rows] == points
+        assert run_cli("report", str(out)) == 0
+
     def test_unknown_policy_is_usage_error(self, workers_csv):
         assert run_cli(
             "sweep", "--policies", "me,bogus", "--workers", workers_csv,
@@ -454,10 +475,7 @@ class TestSweepAndReport:
         assert run_cli("report", str(tmp_path / "absent.csv")) == 1
 
 
-SIMULATE_ME = ["simulate", "--policy", "me", "--lf", "0.5", "--slots", "5"]
-SWEEP_ME = ["sweep", "--policies", "me", "--lf-grid", "0.5", "--slots", "5", "--gen-n", "5"]
 HEADER = "worker_id,reputation,mu_max\n"
-SWEEP_EDGE = ["sweep", "--gen-n", "20", "--slots", "5", "--policies"]
 RANGE_AT_2_53 = "9007199254740992:9007199254740994:1"  # from 2**53 on, v + 1 == v
 # The two input files: the name and command of each, its header, and its
 # record ``i`` with value ``v`` in a numeric field. Records differ in their
@@ -591,20 +609,27 @@ class TestUsageErrors:
         # a row's percentages are its rates over the me row's at its load factor
         "report-pct-not-the-me-rows": report_case(
             "me,none,0,0.5,0.8,0,1,100,100", "cpl,phi,5,0.5,0.4,0,0.9,20,30",
-            fault=" row (policy=cpl, phi=5.0, lf=0.5): effort_pct_of_me is 20.000000, "
-                  "but the me row at lf 0.5 gives 50.000000"),
+            fault=" row (policy=cpl, phi=5.0, lf=0.5): effort_pct_of_me is 20.0, "
+                  "but the me row at lf 0.5 gives 50.0\n"),
         "report-pct-without-me-row": report_case(
             "me,none,0,0.4,0.8,0,1,100,100", "cpl,phi,5,0.5,0.4,0,0.9,NA,90",
-            fault=" row (policy=cpl, phi=5.0, lf=0.5): completion_pct_of_me is 90.000000, "
-                  "but the file has no me row at lf 0.5"),
+            fault=" row (policy=cpl, phi=5.0, lf=0.5): completion_pct_of_me is 90.0, "
+                  "but the file has no me row at lf 0.5\n"),
         "report-na-against-me-row": report_case(
             "me,none,0,0.5,0.8,0,1,100,100", "cpl,phi,5,0.5,0.4,0,0.9,NA,90",
             fault=" row (policy=cpl, phi=5.0, lf=0.5): effort_pct_of_me is NA, "
-                  "but the me row at lf 0.5 gives 50.000000"),
+                  "but the me row at lf 0.5 gives 50.0\n"),
         "report-me-pct-not-100": report_case(
             "me,none,0,0.5,0.8,0,1,100,90",
-            fault=" row (policy=me, none=0.0, lf=0.5): completion_pct_of_me is 90.000000, "
-                  "but the me row at lf 0.5 gives 100.000000"),
+            fault=" row (policy=me, none=0.0, lf=0.5): completion_pct_of_me is 90.0, "
+                  "but the me row at lf 0.5 gives 100.0\n"),
+        # a file in the six-decimal format of earlier versions: its percentages
+        # are not the exact ones of its rounded rates, so it must be made again
+        "report-six-decimal-file": report_case(
+            "me,none,0.000000,0.500000,0.300000,0.000000,0.900000,100.000000,100.000000",
+            "cpl,phi,5.000000,0.500000,0.100000,0.000000,0.600000,33.333333,66.666667",
+            fault=" row (policy=cpl, phi=5.0, lf=0.5): effort_pct_of_me is 33.333333, "
+                  "but the me row at lf 0.5 gives 33.333333333333336\n"),
         "args-file-not-utf-8": ({"bad.args": "--lf=0.5\n--gen-n=5\n\udcff\n"},
                                 ["simulate", "@{tmp}/bad.args", "--policy", "me"],
                                 ["error: {tmp}/bad.args: not UTF-8: 'utf-8' codec can't decode "
@@ -617,27 +642,16 @@ class TestUsageErrors:
         "grid-inf": ({}, ["sweep", "--gen-n", "3", "--slots", "3", "--policies", "cpl",
                           "--phi-grid", "1e308,inf", "--lf-grid", "0.5"],
                      ["cpl requires a finite phi, got inf"]),
-        # a value that the sweep file states as another value, or as one
-        # that is not a point, so report would refuse the file
-        "grid-values-alike-as-stated": ({}, [*SWEEP_EDGE, "me,mt", "--theta1-grid",
-                                             "0.3,0.30000001", "--lf-grid", "0.5"],
-                                        ["error: theta1_grid repeats 0.3 as the sweep file "
-                                         "states it (0.30000001)\n"]),
-        "grid-lf-stated-as-zero": ({}, [*SWEEP_EDGE, "me,cpl", "--phi-grid", "1e-7",
-                                        "--lf-grid", "0.5,4e-7"],
-                                   ["error: lf_grid 4e-07 as the sweep file states it (0.000000): "
-                                    "load_factor must be in (0, 1], got 0.0\n"]),
-        "grid-knob-stated-as-zero": ({}, [*SWEEP_EDGE, "me,cpl", "--phi-grid", "1e-7",
-                                          "--lf-grid", "0.5"],
-                                     ["error: phi_grid 1e-07 as the sweep file states it "
-                                      "(0.000000): cpl requires phi > 0, got 0.0\n"]),
-        "knob-stated-as-zero": ({}, ["simulate", "--gen-n", "20", "--slots", "5", "--policy",
-                                     "cpl", "--phi", "1e-7", "--lf", "0.5"],
-                                ["error: --phi 1e-07 as the sweep file states it (0.000000): "
-                                 "cpl requires phi > 0, got 0.0\n"]),
-        "lf-stated-as-zero": ({}, [*SIMULATE_ME, "--gen-n", "5", "--lf", "4e-7"],
-                              ["error: --lf 4e-07 as the sweep file states it (0.000000): "
-                               "load_factor must be in (0, 1], got 0.0\n"]),
+        # a seed outside the generator's 64-bit word would alias one inside it
+        "seed-2**64-simulate": ({"w.csv": HEADER + "0,0.5,3\n"},
+                                [*SIMULATE_ME, "--workers", "{tmp}/w.csv",
+                                 "--seed", str(2**64 + 7)],
+                                [f"error: seed must be in [0, 2**64), got {2**64 + 7}\n"]),
+        "seed-negative-sweep": ({}, [*SWEEP_ME, "--seed=-1"],
+                                ["error: seed must be in [0, 2**64), got -1\n"]),
+        "seed-2**64-gen-workers": ({}, ["gen-workers", "--n", "3", "--seed", str(2**64),
+                                        "--out", "{tmp}/w.csv"],
+                                   [f"error: seed must be in [0, 2**64), got {2**64}\n"]),
         **csv_fault_cases(),
     }
 
@@ -684,9 +698,13 @@ class TestExperimentConfigs:
         assert (args.gen_n, args.workers) == (20, None)
 
     def test_desk_fixture_reproduces_the_committed_results(self, desk):
-        # the grid order and the CSV writer, byte for byte
+        # the grid order and the CSV writer, byte for byte; the file reads
+        # back as the rows in memory, so its report is theirs
         sweep_csv = (RESULTS / "desk_sweep.csv").read_bytes()
         assert sweep_rows_to_csv(desk.rows).encode() == sweep_csv
+        assert sweep.load_sweep_csv(str(RESULTS / "desk_sweep.csv")) == desk.rows
+        report_csv = (RESULTS / "desk_report.csv").read_text()
+        assert sweep.report_rows_to_csv(desk.report) == report_csv
 
     @pytest.mark.parametrize("name", ["desk", "scaled"])
     def test_report_reproduces_the_committed_report(self, tmp_path, name):

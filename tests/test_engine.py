@@ -1,6 +1,7 @@
 import cProfile
 import math
 import pstats
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,6 +482,41 @@ class TestCallBudget:
         assert pstats.Stats(profile).total_calls <= budget
 
 
+class TestTemporariesBudget:
+    """The numpy temporaries alive at once within one slot stay within what the
+    engine needs, per worker: an n-wide 8-byte array is 8 bytes a worker, so an
+    array kept alive one phase longer shows here on any host. The slot's moods
+    are drawn before the measured call (``CounterMoods`` draws a block of
+    slots at once), and slot 0 runs unmeasured, since the first calls in a
+    process may import or cache. The figures are numpy 2.4's."""
+
+    # The most a slot's peak rises above what was held before it, per worker,
+    # over slots 1 to 7: measured 124.76, 124.76, 93.296 and 105.66892.
+    @pytest.mark.parametrize("params,lf,deadline,n,budget", [
+        (PolicyParams("cpl", phi=50.0), 0.5, 3, 500, 124.8),
+        (PolicyParams("mw", theta2=0.5), 0.5, 3, 500, 124.8),
+        (PolicyParams("ac", sigma=100.0), 1.0, None, 500, 93.3),
+        (PolicyParams("cpl", phi=50.0), 0.5, 3, 200_000, 105.7),
+    ], ids=["cpl-deadline-3", "mw-deadline-3", "ac-no-deadline", "cpl-n-200000"])
+    def test_peak_bytes_per_worker(self, params, lf, deadline, n, budget):
+        pop = generate(PopulationSpec(count=n, seed=7))
+        config = SimConfig(slots=8, load_factor=lf, policy=params, seed=7, deadline=deadline)
+        state, moods = SimState.from_population(pop, config), CounterMoods(config.seed)
+        peak = 0
+        tracemalloc.start()
+        try:
+            for t in range(config.slots):
+                moods(t, state.ids)
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                engine._step_arrays(state, config, t, moods)
+                if t > 0:
+                    peak = max(peak, tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= budget
+
+
 class TestNoDeadline:
     def test_fifo_matches_count_recurrence(self):
         pop = [
@@ -547,6 +583,19 @@ class TestValidation:
             SimConfig(slots=10, load_factor=1.5, policy=PolicyParams(kind="me"))
         with pytest.raises(ValueError):
             SimConfig(slots=10, load_factor=0.5, policy=PolicyParams(kind="me"), deadline=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the generator reads a seed as a 64-bit word, so 2**64 + 7 would run as 7
+        message = rf"^seed must be in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(slots=1, load_factor=0.5, policy=PolicyParams("me"), seed=seed)
+        with pytest.raises(ValueError, match=message):
+            PopulationSpec(count=1, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        SimConfig(slots=1, load_factor=0.5, policy=PolicyParams("me"), seed=2**64 - 1)
+        PopulationSpec(count=1, seed=2**64 - 1)
 
     # One worker that always rests with its backlog piling up: after T slots
     # q = Q = T * g, and the backlog bound T * w_req * (T * w_req + g) with

@@ -9,6 +9,7 @@ from workrest.population import CSV_HEADER
 from workrest.sweep import PER_SLOT_HEADER, REPORT_HEADER, SWEEP_HEADER, ReportRow, SweepRow
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCE = README.parent / "src" / "workrest"
 
 
 def test_readme_library_use_lists_every_public_name():
@@ -36,3 +37,10 @@ def test_each_table_header_has_a_column_per_row_field():
     assert len(PER_SLOT_HEADER) == len(fields(SlotReport))
     assert len(SWEEP_HEADER) == len(fields(SweepRow))
     assert len(REPORT_HEADER) == len(fields(ReportRow)) + 1  # then the region property
+
+
+def test_source_lines_are_at_most_100_characters():
+    paths = sorted(SOURCE.glob("*.py"))
+    long = [f"{path.name}:{number}" for path in paths
+            for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert paths and long == []

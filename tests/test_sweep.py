@@ -40,9 +40,8 @@ def edge_csv(tmp_path_factory):
     return tmp_path_factory.mktemp("edge") / "s.csv"
 
 
-# Grid values at the edge of the six decimals a sweep file states them with:
-# positives below 5e-7, values with eight decimals, and values within 1e-6 of
-# one another, so a grid may hold two that the file states alike.
+# Grid values that six decimals would not tell apart: positives below 5e-7,
+# values with eight decimals, and values within 1e-6 of one another.
 EDGE_GRID = st.lists(st.one_of(
     st.floats(0.0, 5e-7),
     st.integers(1, 10**8).map(lambda i: i / 10**8),
@@ -172,17 +171,25 @@ class TestGrid:
          "sigma_grid repeats 7.0"),
         # values that compare equal repeat, whatever their text
         ({"theta1_grid": (0.0, -0.0)}, "theta1_grid repeats 0.0"),
-        # and so do values that the sweep file states alike, in either order
-        ({"theta1_grid": (0.3, 0.30000001)},
-         "theta1_grid repeats 0.3 as the sweep file states it (0.30000001)"),
-        ({"theta1_grid": (0.30000001, 0.3)},
-         "theta1_grid repeats 0.30000001 as the sweep file states it (0.3)"),
-        ({"lf_grid": (0.5, 0.5000004)},
-         "lf_grid repeats 0.5 as the sweep file states it (0.5000004)"),
     ])
     def test_repeated_grid_value_rejected(self, grids, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec(**grids)
+
+    @pytest.mark.parametrize("grids,points", [
+        ({"policies": ("me", "mt"), "theta1_grid": (0.3, 0.30000001), "lf_grid": (0.5,)}, 3),
+        ({"policies": ("me", "mt"), "theta1_grid": (0.30000001, 0.3), "lf_grid": (0.5,)}, 3),
+        ({"policies": ("me",), "lf_grid": (0.5, 0.5000004)}, 2),
+        ({"policies": ("me", "cpl"), "phi_grid": (1e-7,), "lf_grid": (0.5, 4e-7)}, 4),
+    ])
+    def test_values_six_decimals_cannot_tell_apart_read_back_apart(
+        self, tiny_population, tmp_path, grids, points
+    ):
+        # the file states each value exactly, so near values stay distinct
+        # points and tiny ones stay positive
+        rows = run_sweep(tiny_spec(**grids), tiny_population)
+        assert len(rows) == points
+        assert load_text(tmp_path, sweep_rows_to_csv(rows)) == rows
 
     def test_grid_size_is_bounded(self):
         # (1 ME row + the selected knob values) per load factor
@@ -230,11 +237,7 @@ class TestCsvRoundTrip:
         rows = run_sweep(tiny_spec(), tiny_population)
         text = sweep_rows_to_csv(rows)
         assert text.splitlines()[0] == ",".join(SWEEP_HEADER)
-        parsed = load_text(tmp_path, text)
-        assert len(parsed) == len(rows)
-        for original, reparsed in zip(rows, parsed):
-            assert reparsed.policy == original.policy
-            assert reparsed.effort_avg == pytest.approx(original.effort_avg, abs=1e-6)
+        assert load_text(tmp_path, text) == rows
 
     @pytest.mark.parametrize("name", ["desk_sweep.csv", "scaled_sweep.csv"])
     def test_committed_sweep_files_round_trip(self, name):
@@ -261,16 +264,14 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("mu_max_dist", [(1, 10), (1, 1)], ids=["mixed", "unit"])
     def test_every_sweep_file_loads(self, tmp_path, mu_max_dist, seed, deadline):
-        # whatever sweep writes, report reads: the percentage check allows
-        # the rounding of every value it reads
+        # whatever sweep writes, report reads back as the rows in memory
         population = generate(PopulationSpec(count=10 + 20 * seed, mu_max_dist=mu_max_dist,
                                              seed=seed))
         spec = SweepSpec(phi_grid=(5.0, 50.0), sigma_grid=(5.0, 50.0), theta1_grid=(0.2, 0.8),
                          theta2_grid=(0.2, 0.8), lf_grid=(0.1, 0.5, 1.0), slots=20, seed=seed,
                          deadline=deadline)
-        text = sweep_rows_to_csv(run_sweep(spec, population))
-        rows = load_text(tmp_path, text)
-        assert sweep_rows_to_csv(rows) == text
+        rows = run_sweep(spec, population)
+        assert load_text(tmp_path, sweep_rows_to_csv(rows)) == rows
         if mu_max_dist == (1, 1):
             # floor(mood * 1) is 0 below a mood of 1: me completes nothing
             assert all(r.completion_avg == 0.0 for r in rows if r.policy == "me")
@@ -279,39 +280,39 @@ class TestCsvRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["mt", "mw", "ac", "cpl"]), knobs=EDGE_GRID, lfs=EDGE_GRID)
     def test_what_sweep_accepts_report_reads(self, tiny_population, edge_csv, kind, knobs, lfs):
-        # a grid SweepSpec accepts makes a file that loads back and re-writes unchanged
+        # a grid SweepSpec accepts makes a file that loads back as the rows in memory
         try:
             spec = SweepSpec(policies=("me", kind), lf_grid=lfs, slots=3,
                              **{f"{KNOB_FIELDS[kind]}_grid": knobs})
         except ValueError:
             return
-        text = sweep_rows_to_csv(run_sweep(spec, tiny_population))
-        edge_csv.write_text(text)
-        assert sweep_rows_to_csv(load_sweep_csv(str(edge_csv))) == text
+        rows = run_sweep(spec, tiny_population)
+        edge_csv.write_text(sweep_rows_to_csv(rows))
+        assert load_sweep_csv(str(edge_csv)) == rows
 
     @pytest.mark.parametrize("cpl,loads", [
-        # the effort slack at a = 0.4, b = 0.8 is 100h(a + b + 2h) / (b(b - h)) + h ~ 9.43e-5
-        ("cpl,phi,5,0.5,0.4,0,0.9,50.000094,90.000094", True),
-        ("cpl,phi,5,0.5,0.4,0,0.9,49.999906,89.999906", True),
-        ("cpl,phi,5,0.5,0.4,0,0.9,50.000095,90", False),
-        ("cpl,phi,5,0.5,0.4,0,0.9,50,89.9999", False),
-        ("cpl,phi,5,0.5,0.4,0,0.9,NA,90", False),
+        # 100 * 0.1 / 0.3 is 33.333333333333336 and 100 * 0.6 / 0.9 is 66.66666666666667
+        ("cpl,phi,5,0.5,0.1,0,0.6,33.333333333333336,66.66666666666667", True),
+        ("cpl,phi,5,0.5,0.1,0,0.6,33.33333333333333,66.66666666666667", False),  # an ulp off
+        ("cpl,phi,5,0.5,0.1,0,0.6,33.333333,66.666667", False),  # six decimals
+        ("cpl,phi,5,0.5,0.1,0,0.6,NA,66.66666666666667", False),
     ])
-    def test_percentage_slack_is_the_rounding_error(self, tmp_path, cpl, loads):
-        text = f"{','.join(SWEEP_HEADER)}\nme,none,0,0.5,0.8,0,1,100,100\n{cpl}\n"
+    def test_percentage_is_exact(self, tmp_path, cpl, loads):
+        text = f"{','.join(SWEEP_HEADER)}\nme,none,0,0.5,0.3,0,0.9,100.0,100.0\n{cpl}\n"
         if loads:
             assert len(load_text(tmp_path, text)) == 2
         else:
             with pytest.raises(ValueError, match=r"s\.csv: row \(policy=cpl, phi=5\.0, lf=0\.5\)"):
                 load_text(tmp_path, text)
 
-    def test_any_percentage_against_a_baseline_that_rounds_to_zero(self, tmp_path):
-        # a me rate written as 0.000000 may be any rate below 5e-7, so any
-        # percentage of it, or NA, is one a sweep could write; so is one of
-        # a rate that rounds to zero, written with more decimals
-        text = (f"{','.join(SWEEP_HEADER)}\nme,none,0,0.5,0,0,0.0000004,NA,NA\n"
-                "cpl,phi,5,0.5,0,0,0.9,NA,12345\ncpl,phi,6,0.5,0,0,0.9,7,NA\n")
-        assert [r.completion_pct_of_me for r in load_text(tmp_path, text)] == [None, 12345.0, None]
+    def test_baseline_rate_of_zero_gives_na(self, tmp_path):
+        # no percentage of a me rate of 0, not even the me row's own
+        header = ",".join(SWEEP_HEADER)
+        text = f"{header}\nme,none,0,0.5,0.5,0,0,100.0,NA\ncpl,phi,5,0.5,0.25,0,0.9,50.0,NA\n"
+        assert [r.completion_pct_of_me for r in load_text(tmp_path, text)] == [None, None]
+        with pytest.raises(ValueError, match=r"completion_pct_of_me is 12345\.0, but the me row "
+                                             r"at lf 0\.5 gives NA$"):
+            load_text(tmp_path, text.replace("50.0,NA", "50.0,12345"))
 
     @pytest.mark.parametrize("bad", [
         "me,none,0,0.5,x,0,1,100,100",  # not a number
@@ -340,14 +341,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=rf"s\.csv:5: bad sweep row \['{policy}', '{knob}', "):
             load_text(tmp_path, text)
 
-    def test_six_decimal_formatting(self, tiny_population):
+    def test_sweep_file_states_floats_exactly_and_report_six_decimals(self, tiny_population):
         rows = run_sweep(tiny_spec(), tiny_population)
-        line = sweep_rows_to_csv(rows).splitlines()[1]
-        fields = line.split(",")
-        assert fields[0] == "me"
-        for value in fields[2:]:
-            whole, _, frac = value.partition(".")
-            assert len(frac) == 6
+        for row, line in zip(rows, sweep_rows_to_csv(rows).splitlines()[1:]):
+            assert line.split(",")[2:] == [repr(v) for v in list(vars(row).values())[2:]]
+        for line in report_rows_to_csv(aggregate_report(rows)).splitlines()[1:]:
+            assert all(len(v.partition(".")[2]) == 6 for v in line.split(",")[1:-1])
 
     def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="header"):

@@ -104,14 +104,22 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _number(text: str) -> int | float:
+    """``text`` as an ``int`` when it is a whole number, exactly, else as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _parse_dist(text: str) -> tuple[float, float]:
     """A ``(lo, hi)`` range: ``const:V`` is ``(V, V)``."""
     kind, _, args = text.partition(":")
     try:
         if kind == "const":
-            return (float(args),) * 2
+            return (_number(args),) * 2
         if kind == "uniform":
-            lo, hi = (float(v) for v in args.split(","))
+            lo, hi = map(_number, args.split(","))
             return lo, hi
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad distribution {text!r}: {exc}") from None

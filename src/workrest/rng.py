@@ -29,10 +29,13 @@ def uniform01_array(seed: int, worker_ids: np.ndarray, counter) -> np.ndarray:
     uint64 arithmetic wraps mod 2**64, so each value equals the scalar
     splitmix64 reference computed with masked Python ints; a word within
     2**10 of 2**64 rounds to 1.0. A ``(k, 1)`` array ``counter`` gives k rows.
+    A seed outside [0, 2**64) is a ValueError: reduced, it would alias one inside.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     ids = np.asarray(worker_ids, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK64) ^ (ids * np.uint64(_WORKER_KEY))
+        z = np.uint64(seed) ^ (ids * np.uint64(_WORKER_KEY))
         z = z ^ (np.asarray(counter, dtype=np.uint64) * np.uint64(_SLOT_KEY))
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)

@@ -62,11 +62,11 @@ class SweepSpec:
         if unknown := [kind for kind in self.policies if kind not in POLICY_KINDS]:
             raise ValueError(f"unknown policy {unknown[0]!r}")
         # One walk over every grid value, selected or not (a load factor at an ``me`` point):
-        # each must be a valid point, and no two of one grid may be equal. Repeats raise
-        # at once, a bad value after the bound.
+        # each must be a valid point, and no two of one grid may be equal. The first fault
+        # in the walk raises, then the points bound.
         run_me = partial(SimConfig, self.slots, policy=PolicyParams("me"), seed=self.seed,
                          deadline=self.deadline)
-        invalid, points = None, 1
+        points = 1
         for kind, knob in KNOB_FIELDS.items():
             name, seen = f"{knob or 'lf'}_grid", {}
             if not (grid := getattr(self, name)) and (knob is None or kind in self.policies):
@@ -76,15 +76,10 @@ class SweepSpec:
                 if value in seen:
                     raise ValueError(f"{name} repeats {seen[value]}")
                 seen[value] = value
-                try:
-                    check(value)
-                except ValueError as exc:
-                    invalid = invalid or exc
+                check(value)
             points += len(grid) if knob and kind in self.policies else 0
         if (points := points * len(self.lf_grid)) > MAX_GRID_POINTS:
             raise ValueError(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
-        if invalid is not None:
-            raise invalid
 
     def grid_points(self) -> list[tuple[PolicyParams, float]]:
         """Deterministic run order: ME rows first, then each selected policy's grid."""
@@ -137,12 +132,12 @@ class SweepRow:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-def baseline_rows(runs: Sequence[tuple[tuple[PolicyParams, float], RunMetrics]], row=SweepRow.of):
-    """``row(params, lf, metrics, base)`` of each ``((params, lf), metrics)`` in ``runs``,
-    in order, where ``base`` is the metrics of the ``me`` run at load factor ``lf``, or
-    None when ``runs`` holds none: the one rule for a row's ``*_pct_of_me`` baseline."""
+def baseline_rows(runs: Sequence[tuple[tuple[PolicyParams, float], RunMetrics]]) -> list[SweepRow]:
+    """``SweepRow.of(params, lf, metrics, base)`` of each ``((params, lf), metrics)`` in
+    ``runs``, in order, where ``base`` is the metrics of the ``me`` run at load factor
+    ``lf``, or None when ``runs`` holds none: the one rule for a row's ``*_pct_of_me``."""
     me = {lf: metrics for (params, lf), metrics in runs if params.kind == "me"}
-    return [row(params, lf, metrics, me.get(lf)) for (params, lf), metrics in runs]
+    return [SweepRow.of(params, lf, metrics, me.get(lf)) for (params, lf), metrics in runs]
 
 
 @dataclass(frozen=True)
@@ -276,25 +271,10 @@ def _sweep_run(fields: list[str]) -> tuple[tuple[PolicyParams, float], SweepRow]
     raise ValueError(f"bad sweep row {fields!r}")
 
 
-def _stated_row(path: str, params: PolicyParams, lf: float, row: SweepRow,
-                base: SweepRow | None) -> SweepRow:
-    """``row`` of the file at ``path`` when each ``*_pct_of_me`` it states is exactly the
-    one ``SweepRow.of`` gives from its rates and those of its baseline row ``base``:
-    ``_pct`` of the two, NA without a baseline or at a baseline rate of 0."""
-    want = SweepRow.of(params, lf, row, base)
-    for name in ("effort_pct_of_me", "completion_pct_of_me"):
-        if (stated := getattr(row, name)) != (given := getattr(want, name)):
-            source = (f"the file has no me row at lf {lf}" if base is None
-                      else f"the me row at lf {lf} gives {_text(given)}")
-            raise ValueError(f"{path}: row {_point(params, lf)}: {name} is {_text(stated)}, "
-                             f"but {source}")
-    return row
-
-
 def load_sweep_csv(path: str) -> list[SweepRow]:
     """The rows of the sweep CSV at ``path``. A bad row, or a point that an earlier row
-    holds, is a ValueError naming its line; then a ``*_pct_of_me`` other than the one
-    the file's own ``me`` row gives (``_stated_row``) is one naming its point."""
+    holds, is a ValueError naming its line; then a row other than the one
+    ``baseline_rows`` rebuilds from the file's own rates is one naming its point."""
     seen: set[tuple[PolicyParams, float]] = set()
 
     def record(fields: list[str]) -> tuple[tuple[PolicyParams, float], SweepRow]:
@@ -304,7 +284,16 @@ def load_sweep_csv(path: str) -> list[SweepRow]:
         seen.add(point)
         return point, r
 
-    return baseline_rows(read_csv(path, SWEEP_HEADER, record), partial(_stated_row, path))
+    runs = read_csv(path, SWEEP_HEADER, record)
+    for ((params, lf), row), want in zip(runs, baseline_rows(runs)):
+        if row != want:  # the rates are the row's own, so a percentage differs
+            name = next(n for n in ("effort_pct_of_me", "completion_pct_of_me")
+                        if getattr(row, n) != getattr(want, n))
+            source = (f"the me row at lf {lf} gives {_text(getattr(want, name))}"
+                      if (PolicyParams("me"), lf) in seen else f"the file has no me row at lf {lf}")
+            raise ValueError(f"{path}: row {_point(params, lf)}: {name} is "
+                             f"{_text(getattr(row, name))}, but {source}")
+    return [row for _, row in runs]
 
 
 @dataclass(frozen=True)

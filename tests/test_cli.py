@@ -9,7 +9,7 @@ from conftest import DESK_N, DESK_SEED, desk_sweep_spec, lossy_apportion
 from workrest import cli, engine, sweep
 from workrest.cli import main
 from workrest.engine import SimConfig
-from workrest.policies import PolicyParams
+from workrest.policies import KNOB_FIELDS, PolicyParams
 from workrest.population import PopulationSpec, generate, load_csv, write_csv
 from workrest.sweep import (
     PER_SLOT_HEADER,
@@ -652,6 +652,15 @@ class TestUsageErrors:
         "seed-2**64-gen-workers": ({}, ["gen-workers", "--n", "3", "--seed", str(2**64),
                                         "--out", "{tmp}/w.csv"],
                                    [f"error: seed must be in [0, 2**64), got {2**64}\n"]),
+        # a capacity bound is read exactly: as a float, 2**53 + 1 ran as 2**53
+        "dist-capacity-2**53+1": ({}, ["gen-workers", "--n", "2", "--mu-max-dist",
+                                       f"const:{2**53 + 1}", "--out", "{tmp}/w.csv"],
+                                  ["error: mu_max must be a whole number in [1, 2**53], "
+                                   f"got {2**53 + 1}\n"]),
+        "dist-capacity-2**53+3": ({}, ["gen-workers", "--n", "2", "--mu-max-dist",
+                                       f"const:{2**53 + 3}", "--out", "{tmp}/w.csv"],
+                                  ["error: mu_max must be a whole number in [1, 2**53], "
+                                   f"got {2**53 + 3}\n"]),
         **csv_fault_cases(),
     }
 
@@ -667,6 +676,70 @@ class TestUsageErrors:
         assert "Traceback" not in err and err.count("error:") == 1, err
         assert "drift-bound violations" not in err, err  # no point ran
         assert all(at(f) in err for f in fragments), err
+
+
+# Values for every numeric flag: not a number, infinite, negative, zero, past
+# 2**53 and 2**64, the largest and smallest doubles, and malformed text.
+FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", str(2**53 + 1), str(2**64), "1e308", "5e-324",
+               "", "x", "1,2", "1:2")
+# A count accepted at 2**53 + 1 would run for hours or allocate past memory,
+# so the counts get only the values they refuse: not these.
+COUNT_FLAGS = {"--slots", "--gen-n", "--n"}
+LARGE_COUNTS = {str(2**53 + 1), str(2**64)}
+GRID_FLAGS = [f"--{name.replace('_', '-')}" for name in cli._GRIDS]
+
+
+def tiny(command, kind="cpl"):
+    """A valid ``command`` over 3 workers and 2 slots; a later flag overrides its own."""
+    if command == "gen-workers":
+        return ["gen-workers", "--n=3", "--out={tmp}/w.csv"]
+    common = ["--gen-n=3", "--slots=2", "--out={tmp}/o.csv"]
+    if command == "simulate":
+        return ["simulate", f"--policy={kind}", f"--{KNOB_FIELDS[kind]}=0.5", "--lf=0.5", *common]
+    return ["sweep", "--policies=me,mt,mw,ac,cpl", *(f"{g}=0.5" for g in GRID_FLAGS), *common]
+
+
+def flag_value_cases():
+    """``(argv, flag)``: each numeric flag of ``simulate``, ``sweep`` and
+    ``gen-workers`` at each of ``FLAG_VALUES``, after a tiny valid command."""
+    for value in FLAG_VALUES:
+        cases = [(tiny(command), flag, f"{flag}={value}")
+                 for command, flags in (("simulate", ["--lf"]), ("sweep", GRID_FLAGS))
+                 for flag in ("--slots", "--gen-n", "--seed", "--deadline", *flags)]
+        cases += [(tiny("simulate", kind), f"--{knob}", f"--{knob}={value}")
+                  for kind, knob in KNOB_FIELDS.items() if knob]
+        cases += [(tiny("gen-workers"), flag, f"{flag}={value}") for flag in ("--n", "--seed")]
+        cases += [(tiny("gen-workers"), flag, f"{flag}={dist}")
+                  for flag in ("--rep-dist", "--mu-max-dist")
+                  for dist in (f"const:{value}", f"uniform:1,{value}")]
+        yield from ((argv + [arg], flag) for argv, flag, arg in cases
+                    if flag not in COUNT_FLAGS or value not in LARGE_COUNTS)
+    for jobs in ("-1", "0", "1"):  # a larger --jobs starts that many processes
+        yield tiny("sweep") + [f"--jobs={jobs}"], "--jobs"
+
+
+class TestFlagValueCorpus:
+    """Every numeric flag at every generated value, given on the command line or
+    in an argument file within an argument file, exits 0, 1, 2 or 3 with no
+    traceback and, when it fails, exactly one ``error:`` line."""
+
+    def test_every_flag_value_exits_cleanly(self, tmp_path, capsys):
+        (tmp_path / "empty.args").write_text("")
+        inner, outer = tmp_path / "inner.args", tmp_path / "outer.args"
+        outer.write_text(f"@{inner}\n@{tmp_path / 'empty.args'}\n")
+        faults = []
+        for argv, flag in flag_value_cases():
+            argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+            inner.write_text(argv[-1] + "\n")
+            for given in (argv, argv[:-1] + [f"@{outer}"]):
+                code = run_cli(*given)
+                err = capsys.readouterr().err
+                errors = sum("error:" in line for line in err.splitlines())
+                refused = code == 2 or flag not in COUNT_FLAGS
+                if code not in (0, 1, 2, 3) or "Traceback" in err or not refused or (
+                        code != 0 and errors != 1):
+                    faults.append((given, code, err))
+        assert not faults, faults[:5]
 
 
 class TestExperimentConfigs:

@@ -592,10 +592,17 @@ class TestValidation:
             SimConfig(slots=1, load_factor=0.5, policy=PolicyParams("me"), seed=seed)
         with pytest.raises(ValueError, match=message):
             PopulationSpec(count=1, seed=seed)
+        # the generator refuses it too, for a mood source built by hand
+        with pytest.raises(ValueError, match=message):
+            CounterMoods(seed)(0, np.arange(3))
+        with pytest.raises(ValueError, match=message):
+            run(cpl_config(), single_worker(), mood_source=CounterMoods(seed))
 
     def test_largest_seed_accepted(self):
         SimConfig(slots=1, load_factor=0.5, policy=PolicyParams("me"), seed=2**64 - 1)
         PopulationSpec(count=1, seed=2**64 - 1)
+        assert CounterMoods(2**64 - 1)(0, np.arange(3)).tolist() == [
+            oracle.uniform01(2**64 - 1, i, 0) for i in range(3)]
 
     # One worker that always rests with its backlog piling up: after T slots
     # q = Q = T * g, and the backlog bound T * w_req * (T * w_req + g) with

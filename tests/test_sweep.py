@@ -191,6 +191,18 @@ class TestGrid:
         assert len(rows) == points
         assert load_text(tmp_path, sweep_rows_to_csv(rows)) == rows
 
+    @pytest.mark.parametrize("grids,message", [
+        # an invalid value raises before the points bound ...
+        ({"policies": ("me", "cpl"), "lf_grid": tuple(round(0.1 * k, 1) for k in range(1, 11)),
+          "phi_grid": (-1.0,) + tuple(float(v) for v in range(1, 10_000)) + (1e4,)},
+         "cpl requires phi > 0, got -1.0"),
+        # ... and before a repeat later in the walk
+        ({"phi_grid": (0.0, 5.0, 5.0)}, "cpl requires phi > 0, got 0.0"),
+    ])
+    def test_first_fault_in_the_walk_raises(self, grids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(**grids)
+
     def test_grid_size_is_bounded(self):
         # (1 ME row + the selected knob values) per load factor
         lf_grid = tuple(round(0.1 * k, 1) for k in range(1, 11))

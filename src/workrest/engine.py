@@ -3,7 +3,7 @@
 Each slot runs a fixed phase order over the whole population:
 
 1. delegate this slot's tasks
-2. record the observed backlog q_i(t); its total is the ledger's (phase 8)
+2. record the observed backlog q_i(t) and its mask q_i(t) > 0 for phases 4-6
 3. sample per-worker mood
 4. policy decision per worker -> (effort, completed)
 5. conceptual-queue update from this slot's backlog and completions
@@ -192,7 +192,7 @@ def drift_bound_sides(
     Q: np.ndarray,
     lam: np.ndarray,
     mu: np.ndarray,
-    x: np.ndarray,
+    idle: np.ndarray,
     q_next: np.ndarray,
     Q_next: np.ndarray,
     lyap2: int,
@@ -202,17 +202,16 @@ def drift_bound_sides(
     """Exact one-slot Lyapunov change vs. its constant-padded upper bound.
 
     ``q``/``Q`` are the carried queues and ``lyap2`` twice their Lyapunov
-    value, ``lam``/``mu`` the slot's arrivals and completions, ``x`` the
-    conceptual-queue increments as fired and ``q_next``/``Q_next`` the
-    outgoing queues, all int64. Returns ``(lhs2, rhs2, next_lyap2)``: both
-    sides doubled and the outgoing ``2L``, as Python ints, so comparing
+    value, ``lam``/``mu`` the slot's arrivals and completions and ``q_next``/
+    ``Q_next`` the outgoing queues, all int64; ``idle`` is the boolean mask of
+    where the conceptual queue fired (x > 0). Returns ``(lhs2, rhs2, next_lyap2)``:
+    both sides doubled and the outgoing ``2L``, as Python ints, so comparing
     them is exact at any size.
     """
-    fired = x > 0
     g2 = mu_max_global * mu_max_global
-    cross = int(q @ (lam - mu)) - int(mu @ lam) + int(Q @ (mu_max_global * fired - mu))
+    cross = int(q @ (lam - mu)) - int(mu @ lam) + int(Q @ (mu_max_global * idle - mu))
     rhs2 = 2 * cross + len(q) * (lambda_max * lambda_max + 2 * g2)
-    rhs2 += g2 * int(np.count_nonzero(fired))  # int: a numpy int times a big int overflows
+    rhs2 += g2 * int(np.count_nonzero(idle))  # int: a numpy int times a big int overflows
     next2 = int(q_next @ q_next) + int(Q_next @ Q_next)
     return next2 - lyap2, rhs2, next2
 
@@ -228,8 +227,9 @@ def _step_arrays(
     weights = delegation_weights(state.weighted_capacity, state.q)
     lam = apportion(state.w_req, weights, state.ids)
 
-    # Phase 2: observed backlog; its total is the ledger's, in ``run``.
+    # Phase 2: observed backlog and its mask (phases 4-6); its total is the ledger's.
     q_hat = state.q + lam
+    pending = q_hat > 0
 
     # Phase 3: moods.
     m = np.asarray(mood_source(t, state.ids), dtype=float)
@@ -240,15 +240,16 @@ def _step_arrays(
 
     # Phase 4: policy decisions (the floor is this module's binding, looked
     # up every slot like the other per-slot callables).
-    xi, mu = decide(config.policy, q_hat, state.Q, m, state.mu_max, floor=snap_floor_array)
+    xi, mu = decide(config.policy, q_hat, state.Q, m, state.mu_max, pending,
+                    floor=snap_floor_array)
     if np.logical_or.reduce(mu > q_hat):
         bad = int(np.argmax(mu > q_hat))
         raise SimulationError(f"slot {t}: worker {int(state.ids[bad])} completed "
                               f"{int(mu[bad])} of {int(q_hat[bad])} pending tasks")
 
     # Phase 5: conceptual queues, from this slot's backlog and completions.
-    pending = q_hat > 0
-    x = state.mu_max * (pending & (mu == 0))
+    idle = mu < pending  # = pending & (mu == 0), as mu >= 0
+    x = state.mu_max * idle
     net = x - mu
     Q_next = np.maximum(0, state.Q + net)
 
@@ -259,11 +260,10 @@ def _step_arrays(
     q_next = q_hat - mu
     if state.arrived is not None:
         ring, d = state.arrived, state.arrived.shape[1]
-        through_t = ring[:, (t - 1) % d] + lam
-        # Every pending task was delegated within the last D slots.
-        if np.logical_or.reduce(q_hat > through_t - ring[:, t % d]):
+        # Every pending task was delegated within the last D slots (lam cancels).
+        if np.logical_or.reduce(state.q > ring[:, (t - 1) % d] - ring[:, t % d]):
             raise SimulationError(f"slot {t}: backlog bookkeeping out of sync")
-        ring[:, t % d] = through_t
+        through_t = np.add(ring[:, (t - 1) % d], lam, out=ring[:, t % d])
         kept = np.minimum(q_next, through_t - ring[:, (t + 1) % d])  # = q - max(0, q - recent)
         q_next, expired = kept, q_next - kept
         expired_total = int(np.add.reduce(expired))
@@ -271,7 +271,7 @@ def _step_arrays(
 
     # Phase 7: drift from the carried queues to the slot's outgoing ones;
     # the arrival bound is the slot workload (one worker could receive all).
-    lhs2, rhs2, state.lyap2 = drift_bound_sides(state.q, state.Q, lam, mu, x, q_next, Q_next,
+    lhs2, rhs2, state.lyap2 = drift_bound_sides(state.q, state.Q, lam, mu, idle, q_next, Q_next,
                                                 state.lyap2, state.w_req or 1, state.mu_max_global)
 
     # Phase 8: state handoff and the slot's totals.

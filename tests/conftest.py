@@ -42,11 +42,13 @@ def traced_run(config, population, **kw):
 
     The arrays are recorded through the per-slot callables the engine looks
     up by name: ``decide`` sees the observed backlog, moods and efforts, and
-    ``drift_bound_sides`` the arrivals, completions, conceptual increments
-    and outgoing queues. Expiries are exact from phase 6's definition
+    ``drift_bound_sides`` the arrivals, completions, idle mask and outgoing
+    queues. The conceptual increments ``x`` are each worker's capacity where
+    the idle mask fired, and expiries are exact from phase 6's definition
     ``q_next = q + lam - mu - expired``. Returns ``(result, trace)``.
     """
     trace: dict[str, list] = {}
+    mu_max = np.array([p.mu_max for p in population], dtype=np.int64)
 
     def record(**arrays):
         for key, value in arrays.items():
@@ -54,14 +56,15 @@ def traced_run(config, population, **kw):
 
     decide, sides = engine.decide, engine.drift_bound_sides
 
-    def traced_decide(params, q_hat, Q, m, mu_max, **kw):
-        xi, mu = decide(params, q_hat, Q, m, mu_max, **kw)
+    def traced_decide(params, q_hat, Q, m, *rest, **kw):
+        xi, mu = decide(params, q_hat, Q, m, *rest, **kw)
         record(q_hat=q_hat, mood=m, effort=xi)
         return xi, mu
 
-    def traced_sides(q, Q, lam, mu, x, q_next, Q_next, *bounds):
-        record(lam=lam, mu=mu, x=x, q_end=q_next, Q_end=Q_next, expired=q + lam - mu - q_next)
-        return sides(q, Q, lam, mu, x, q_next, Q_next, *bounds)
+    def traced_sides(q, Q, lam, mu, idle, q_next, Q_next, *bounds):
+        record(lam=lam, mu=mu, x=mu_max * idle, q_end=q_next, Q_end=Q_next,
+               expired=q + lam - mu - q_next)
+        return sides(q, Q, lam, mu, idle, q_next, Q_next, *bounds)
 
     engine.decide, engine.drift_bound_sides = traced_decide, traced_sides
     try:

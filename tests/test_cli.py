@@ -808,12 +808,12 @@ class TestExperimentConfigs:
         )
 
 
-def overcompleting_decide(params, q, Q, m, mu_max, floor):
+def overcompleting_decide(params, q, Q, m, mu_max, pending, floor):
     """A policy bug: every worker completes one task more than it holds."""
     return np.ones(len(q)), q + 1
 
 
-def drift_broken(q, Q, lam, mu, x, q_next, Q_next, lyap2, lambda_max, mu_max_global):
+def drift_broken(q, Q, lam, mu, idle, q_next, Q_next, lyap2, lambda_max, mu_max_global):
     """Drift sides that break the bound by one (doubled) unit every slot."""
     return 1, 0, lyap2
 

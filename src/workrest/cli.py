@@ -63,7 +63,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _parse_deadline(text: str) -> int | None:
-    if text.lower() in ("inf", "none"):
+    if text == "inf":
         return None
     try:
         return int(text)
@@ -166,7 +166,7 @@ def cmd_gen_workers(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     knobs = {name: getattr(args, name) for name in _KNOBS if getattr(args, name) is not None}
-    policy = PolicyParams(args.policy.lower(), **knobs)
+    policy = PolicyParams(args.policy, **knobs)
     population = _resolve_population(args)
     config = SimConfig(args.slots, args.lf, policy, args.seed, args.deadline)
     result = run(config, population, keep_reports=args.per_slot is not None)
@@ -182,7 +182,7 @@ def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
     """The grid of the flags that were given; ``SweepSpec`` fills in the rest."""
     grids = {name: getattr(args, name) for name in _GRIDS if getattr(args, name) is not None}
     if args.policies is not None:
-        grids["policies"] = tuple(p.lower() for p in map(str.strip, args.policies.split(",")) if p)
+        grids["policies"] = tuple(p for p in map(str.strip, args.policies.split(",")) if p)
     return SweepSpec(**grids, slots=args.slots, seed=args.seed, deadline=args.deadline)
 
 

@@ -3,7 +3,7 @@
 Each slot runs a fixed phase order over the whole population:
 
 1. delegate this slot's tasks
-2. record the observed backlog q_i(t) and its mask q_i(t) > 0 for phases 4-6
+2. record the observed backlog q_i(t) and its mask q_i(t) > 0 for phases 5-6
 3. sample per-worker mood
 4. policy decision per worker -> (effort, completed)
 5. conceptual-queue update from this slot's backlog and completions
@@ -227,7 +227,7 @@ def _step_arrays(
     weights = delegation_weights(state.weighted_capacity, state.q)
     lam = apportion(state.w_req, weights, state.ids)
 
-    # Phase 2: observed backlog and its mask (phases 4-6); its total is the ledger's.
+    # Phase 2: observed backlog and its mask (phases 5-6); its total is the ledger's.
     q_hat = state.q + lam
     pending = q_hat > 0
 
@@ -238,10 +238,9 @@ def _step_arrays(
     if not (np.minimum.reduce(m) >= 0.0 and np.maximum.reduce(m) <= 1.0):  # NaN fails
         raise ValueError(f"slot {t}: moods must lie in [0, 1], got [{m.min()}, {m.max()}]")
 
-    # Phase 4: policy decisions (the floor is this module's binding, looked
-    # up every slot like the other per-slot callables).
-    xi, mu = decide(config.policy, q_hat, state.Q, m, state.mu_max, pending,
-                    floor=snap_floor_array)
+    # Phase 4: policy decisions, which need no backlog mask (the floor is this
+    # module's binding, looked up every slot like the other per-slot callables).
+    xi, mu = decide(config.policy, q_hat, state.Q, m, state.mu_max, floor=snap_floor_array)
     if np.logical_or.reduce(mu > q_hat):
         bad = int(np.argmax(mu > q_hat))
         raise SimulationError(f"slot {t}: worker {int(state.ids[bad])} completed "

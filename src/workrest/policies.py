@@ -77,23 +77,22 @@ def decide(
     Q: np.ndarray,
     m: np.ndarray,
     mu_max: np.ndarray,
-    pending: np.ndarray,
     floor=snap_floor_array,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-worker effort and tasks completed, for moods in [0, 1]: a worker that
     works spends ``min(1, q / max(m * mu_max, 1))``, 1 wherever ``m * mu_max <= 1``
     as its q is at least 1, and completes ``min(q, floor(m * mu_max))``, in integers.
+    A worker with q = 0 completes 0 and spends +0.0, whatever its gates say.
 
-    ``pending`` is the caller's mask ``q > 0``, read and never written, since the
-    engine reuses it. ``floor`` is the snapping floor; callers may pass their own
-    binding of ``snap_floor_array`` so that its calls can be swapped out or timed.
+    ``floor`` is the snapping floor; callers may pass their own binding of
+    ``snap_floor_array`` so that its calls can be swapped out or timed.
     Raises ``ValueError`` where the ``mw`` gate's int64 products could wrap.
     """
     theta1, theta2, k, w = params.gates
     d = m * mu_max
     fd = floor(d)
     # A gate at its neutral value always passes for moods in [0, 1]; skip it.
-    work = pending
+    work = True
     if theta1 > 0.0:
         work = work & (m >= theta1)
     if k != -math.inf:
@@ -105,6 +104,6 @@ def decide(
         if (bound := max(int(np.maximum.reduce(q)), top) * top) >= 2**63:
             raise ValueError(f"mw gate products may reach {bound}, beyond int64 (2**63)")
         work = work & (q * fd >= mu_max * floor(theta2 * mu_max))
-    # One mask: a resting worker's backlog counts 0, so its effort is +0.0 and it completes 0.
+    # One mask, no q > 0 gate: q * work is 0 where a worker rests or q = 0, so effort is +0.0.
     q_work = q * work
     return np.minimum(1.0, q_work / np.maximum(d, 1.0)), np.minimum(q_work, fd)

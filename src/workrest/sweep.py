@@ -105,26 +105,6 @@ class SweepRow:
     effort_pct_of_me: float | None
     completion_pct_of_me: float | None
 
-    @classmethod
-    def of(
-        cls, params: PolicyParams, lf: float, metrics: RunMetrics, base: RunMetrics | None
-    ) -> "SweepRow":
-        """The row of one run's rates ``metrics`` against those of its ``me`` baseline
-        ``base`` (none: NA); a ``SweepRow`` read back serves for either."""
-        return cls(
-            policy=params.kind,
-            knob_name=params.knob_name,
-            knob_value=params.knob_value,
-            load_factor=lf,
-            effort_avg=metrics.effort_avg,
-            expiry_avg=metrics.expiry_avg,
-            completion_avg=metrics.completion_avg,
-            effort_pct_of_me=None if base is None else _pct(metrics.effort_avg, base.effort_avg),
-            completion_pct_of_me=(
-                None if base is None else _pct(metrics.completion_avg, base.completion_avg)
-            ),
-        )
-
     def __post_init__(self) -> None:
         # Each rate is an average of ratios in [0, 1], so no run's row leaves that range.
         for name in ("effort_avg", "expiry_avg", "completion_avg"):
@@ -133,11 +113,26 @@ class SweepRow:
 
 
 def baseline_rows(runs: Sequence[tuple[tuple[PolicyParams, float], RunMetrics]]) -> list[SweepRow]:
-    """``SweepRow.of(params, lf, metrics, base)`` of each ``((params, lf), metrics)`` in
-    ``runs``, in order, where ``base`` is the metrics of the ``me`` run at load factor
-    ``lf``, or None when ``runs`` holds none: the one rule for a row's ``*_pct_of_me``."""
-    me = {lf: metrics for (params, lf), metrics in runs if params.kind == "me"}
-    return [SweepRow.of(params, lf, metrics, me.get(lf)) for (params, lf), metrics in runs]
+    """The ``SweepRow`` of each ``((params, lf), metrics)`` in ``runs``, in order, where
+    ``metrics`` holds its rates (a ``SweepRow`` read back serves): each ``*_pct_of_me`` is
+    its rate as a percentage of the ``me`` run's at load factor ``lf``, NA where ``runs``
+    holds none or that rate is 0. This is the one rule for a row's ``*_pct_of_me``."""
+    me = {lf: (m.effort_avg, m.completion_avg) for (p, lf), m in runs if p.kind == "me"}
+    rows = []
+    for (params, lf), metrics in runs:
+        effort, completion = me.get(lf, (None, None))
+        rows.append(SweepRow(
+            policy=params.kind,
+            knob_name=params.knob_name,
+            knob_value=params.knob_value,
+            load_factor=lf,
+            effort_avg=metrics.effort_avg,
+            expiry_avg=metrics.expiry_avg,
+            completion_avg=metrics.completion_avg,
+            effort_pct_of_me=_pct(metrics.effort_avg, effort),
+            completion_pct_of_me=_pct(metrics.completion_avg, completion),
+        ))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -177,8 +172,8 @@ def _point(params: PolicyParams, lf: float) -> str:
     return f"(policy={params.kind}, {params.knob_name}={params.knob_value}, lf={lf})"
 
 
-def _pct(value: float, baseline: float) -> float | None:
-    if baseline == 0.0:
+def _pct(value: float, baseline: float | None) -> float | None:
+    if not baseline:
         return None
     return 100.0 * value / baseline
 

@@ -637,6 +637,15 @@ class TestUsageErrors:
         "args-file-includes-itself": ({"loop.args": "@{tmp}/loop.args\n"},
                                       ["simulate", "@{tmp}/loop.args"],
                                       ["error: an argument file includes itself"]),
+        # one spelling per value: 'inf' and the lower-case kinds, as --help names them
+        "deadline-none": ({}, [*SIMULATE_ME, "--gen-n", "5", "--deadline", "none"],
+                          ["argument --deadline: expected whole slots or 'inf', got 'none'"]),
+        "policy-upper-case": ({}, ["simulate", "--policy", "CPL", "--phi", "5", "--lf", "0.5",
+                                   "--slots", "5", "--gen-n", "5"],
+                              ["unknown policy kind 'CPL'"]),
+        "policies-upper-case": ({}, ["sweep", "--policies", "me,CPL", "--lf-grid", "0.5",
+                                     "--slots", "5", "--gen-n", "5"],
+                                ["unknown policy 'CPL'"]),
         "knob-inf": ({}, ["simulate", "--gen-n", "5", "--slots", "5", "--policy", "cpl",
                           "--phi", "inf", "--lf", "0.5"], ["cpl requires a finite phi, got inf"]),
         "grid-inf": ({}, ["sweep", "--gen-n", "3", "--slots", "3", "--policies", "cpl",
@@ -808,7 +817,7 @@ class TestExperimentConfigs:
         )
 
 
-def overcompleting_decide(params, q, Q, m, mu_max, pending, floor):
+def overcompleting_decide(params, q, Q, m, mu_max, floor):
     """A policy bug: every worker completes one task more than it holds."""
     return np.ones(len(q)), q + 1
 

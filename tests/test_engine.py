@@ -676,7 +676,7 @@ class TestValidation:
 
     def test_overcompletion_aborts(self, monkeypatch):
         # the policy layer cannot produce mu > backlog, so fake a buggy one
-        def buggy_decide(params, q, Q, m, mu_max, pending, floor):
+        def buggy_decide(params, q, Q, m, mu_max, floor):
             return np.ones(len(q)), q + 1
 
         monkeypatch.setattr(engine, "decide", buggy_decide)

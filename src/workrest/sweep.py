@@ -59,25 +59,27 @@ class SweepSpec:
     deadline: int | None = SimConfig.deadline
 
     def __post_init__(self) -> None:
-        if unknown := [kind for kind in self.policies if kind not in POLICY_KINDS]:
-            raise ValueError(f"unknown policy {unknown[0]!r}")
-        # One walk over every grid value, selected or not (a load factor at an ``me`` point):
-        # each must be a valid point, and no two of one grid may be equal. The first fault
-        # in the walk raises, then the points bound.
+        # One walk: the kinds, then every grid value, selected or not (a load factor at an
+        # ``me`` point). Each value passes its rule (``PolicyParams`` judges a kind with no
+        # knob), no two in one list are equal, and ``lf_grid`` and each selected knob grid
+        # are non-empty. The first fault raises, then the points bound.
         run_me = partial(SimConfig, self.slots, policy=PolicyParams("me"), seed=self.seed,
                          deadline=self.deadline)
-        points = 1
-        for kind, knob in KNOB_FIELDS.items():
-            name, seen = f"{knob or 'lf'}_grid", {}
-            if not (grid := getattr(self, name)) and (knob is None or kind in self.policies):
+        walk = [("policies", False, lambda kind: KNOB_FIELDS.get(kind) or PolicyParams(kind)),
+                ("lf_grid", True, run_me)]
+        walk += [(f"{knob}_grid", kind in self.policies,
+                  lambda value, kind=kind, knob=knob: PolicyParams(kind, **{knob: value}))
+                 for kind, knob in KNOB_FIELDS.items() if knob]
+        for name, needed, check in walk:
+            if not (values := getattr(self, name)) and needed:
                 raise ValueError(f"{name} must be non-empty")
-            check = run_me if knob is None else lambda v: PolicyParams(kind, **{knob: v})
-            for value in grid:
-                if value in seen:
-                    raise ValueError(f"{name} repeats {seen[value]}")
-                seen[value] = value
+            first = {}  # each value's first index
+            for i, value in enumerate(values):
+                if first.setdefault(value, i) != i:
+                    raise ValueError(f"{name} repeats {values[first[value]]}")
                 check(value)
-            points += len(grid) if knob and kind in self.policies else 0
+        points = 1 + sum(len(getattr(self, f"{KNOB_FIELDS[kind]}_grid"))
+                         for kind in self.policies if kind != "me")
         if (points := points * len(self.lf_grid)) > MAX_GRID_POINTS:
             raise ValueError(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
 
@@ -194,10 +196,8 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = spec.grid_points()
-    payloads = [
-        (tuple(population), params, lf, spec.slots, spec.seed, spec.deadline)
-        for params, lf in points
-    ]
+    payloads = [(tuple(population), *point, spec.slots, spec.seed, spec.deadline)
+                for point in points]
     # The CPUs this process may run on, where the platform says which.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     processes = min(jobs, len(points), cpus or 1)
@@ -207,10 +207,9 @@ def run_sweep(
     else:
         outcomes = [_run_point(p) for p in payloads]
 
-    rows = baseline_rows([*zip(points, (metrics for metrics, _ in outcomes))])
-    if collect_diagnostics:
-        return rows, [diag for _, diag in outcomes]
-    return rows
+    metrics, diagnostics = zip(*outcomes)
+    rows = baseline_rows([*zip(points, metrics)])
+    return (rows, list(diagnostics)) if collect_diagnostics else rows
 
 
 def _csv_text(header: Sequence[str], rows) -> str:

@@ -645,7 +645,12 @@ class TestUsageErrors:
                               ["unknown policy kind 'CPL'"]),
         "policies-upper-case": ({}, ["sweep", "--policies", "me,CPL", "--lf-grid", "0.5",
                                      "--slots", "5", "--gen-n", "5"],
-                                ["unknown policy 'CPL'"]),
+                                ["unknown policy kind 'CPL'; expected one of "
+                                 "('me', 'mt', 'mw', 'ac', 'cpl')"]),
+        # a kind repeats as a grid value does, and is not run once in silence
+        "policies-repeat": ({}, ["sweep", "--policies", "cpl,cpl", "--phi-grid", "5",
+                                 "--lf-grid", "0.5", "--slots", "3", "--gen-n", "3"],
+                            ["error: policies repeats cpl\n"]),
         "knob-inf": ({}, ["simulate", "--gen-n", "5", "--slots", "5", "--policy", "cpl",
                           "--phi", "inf", "--lf", "0.5"], ["cpl requires a finite phi, got inf"]),
         "grid-inf": ({}, ["sweep", "--gen-n", "3", "--slots", "3", "--policies", "cpl",
@@ -691,6 +696,9 @@ class TestUsageErrors:
 # 2**53 and 2**64, the largest and smallest doubles, and malformed text.
 FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", str(2**53 + 1), str(2**64), "1e308", "5e-324",
                "", "x", "1,2", "1:2")
+# Values for the text flags that name policy kinds: upper case, unknown, a
+# repeat, empty, no kind at all and a kind padded with spaces.
+KIND_VALUES = ("CPL", "xx", "cpl,cpl", "", ",", " me ")
 # A count accepted at 2**53 + 1 would run for hours or allocate past memory,
 # so the counts get only the values they refuse: not these.
 COUNT_FLAGS = {"--slots", "--gen-n", "--n"}
@@ -710,7 +718,8 @@ def tiny(command, kind="cpl"):
 
 def flag_value_cases():
     """``(argv, flag)``: each numeric flag of ``simulate``, ``sweep`` and
-    ``gen-workers`` at each of ``FLAG_VALUES``, after a tiny valid command."""
+    ``gen-workers`` at each of ``FLAG_VALUES``, and ``--policy`` and
+    ``--policies`` at each of ``KIND_VALUES``, after a tiny valid command."""
     for value in FLAG_VALUES:
         cases = [(tiny(command), flag, f"{flag}={value}")
                  for command, flags in (("simulate", ["--lf"]), ("sweep", GRID_FLAGS))
@@ -725,12 +734,15 @@ def flag_value_cases():
                     if flag not in COUNT_FLAGS or value not in LARGE_COUNTS)
     for jobs in ("-1", "0", "1"):  # a larger --jobs starts that many processes
         yield tiny("sweep") + [f"--jobs={jobs}"], "--jobs"
+    for value in KIND_VALUES:
+        yield tiny("simulate") + [f"--policy={value}"], "--policy"
+        yield tiny("sweep") + [f"--policies={value}"], "--policies"
 
 
 class TestFlagValueCorpus:
-    """Every numeric flag at every generated value, given on the command line or
-    in an argument file within an argument file, exits 0, 1, 2 or 3 with no
-    traceback and, when it fails, exactly one ``error:`` line."""
+    """Every numeric flag and policy-kind flag at every generated value, given on
+    the command line or in an argument file within an argument file, exits 0, 1,
+    2 or 3 with no traceback and, when it fails, exactly one ``error:`` line."""
 
     def test_every_flag_value_exits_cleanly(self, tmp_path, capsys):
         (tmp_path / "empty.args").write_text("")

@@ -171,6 +171,8 @@ class TestGrid:
          "sigma_grid repeats 7.0"),
         # values that compare equal repeat, whatever their text
         ({"theta1_grid": (0.0, -0.0)}, "theta1_grid repeats 0.0"),
+        # the kinds follow the grids' rule
+        ({"policies": ("me", "cpl", "me")}, "policies repeats me"),
     ])
     def test_repeated_grid_value_rejected(self, grids, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -198,6 +200,9 @@ class TestGrid:
          "cpl requires phi > 0, got -1.0"),
         # ... and before a repeat later in the walk
         ({"phi_grid": (0.0, 5.0, 5.0)}, "cpl requires phi > 0, got 0.0"),
+        # the walk starts with the kinds, each judged by PolicyParams
+        ({"policies": ("CPL",), "lf_grid": (0.0,)},
+         "unknown policy kind 'CPL'; expected one of ('me', 'mt', 'mw', 'ac', 'cpl')"),
     ])
     def test_first_fault_in_the_walk_raises(self, grids, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

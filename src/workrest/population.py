@@ -21,25 +21,30 @@ from .rng import MU_MAX_STREAM, REPUTATION_STREAM, uniform01_array
 
 CSV_HEADER = ["worker_id", "reputation", "mu_max"]
 T = TypeVar("T")
+_set = object.__setattr__  # writes a field of a frozen record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WorkerProfile:
-    """Immutable worker identity: reputation and whole per-slot capacity (an int)."""
+    """Immutable worker identity: a reputation, and a whole id and per-slot capacity (ints)."""
 
     id: int
     reputation: float
     mu_max: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.id < 2**63:
-            raise ValueError(f"worker id must be in [0, 2**63), got {self.id}")
-        if not 0.0 <= self.reputation <= 1.0:
-            raise ValueError(f"reputation must be in [0, 1], got {self.reputation}")
-        if not (1 <= self.mu_max <= 2**53 and self.mu_max % 1 == 0):
-            raise ValueError(f"mu_max must be a whole number in [1, 2**53], got {self.mu_max}")
-        if type(self.mu_max) is not int:
-            object.__setattr__(self, "mu_max", int(self.mu_max))
+    def __init__(self, id: int, reputation: float, mu_max: int) -> None:
+        if not (0 <= id < 2**63 and id % 1 == 0):
+            raise ValueError(f"worker id must be a whole number in [0, 2**63), got {id}")
+        if not 0.0 <= reputation <= 1.0:
+            raise ValueError(f"reputation must be in [0, 1], got {reputation}")
+        if not (1 <= mu_max <= 2**53 and mu_max % 1 == 0):
+            raise ValueError(f"mu_max must be a whole number in [1, 2**53], got {mu_max}")
+        _set(self, "id", int(id))
+        _set(self, "reputation", reputation)
+        _set(self, "mu_max", int(mu_max))
+
+    def __reduce__(self):  # pickles as the constructor call, so unpickling checks
+        return WorkerProfile, (self.id, self.reputation, self.mu_max)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures  # loads the process pool on first use
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -202,7 +202,7 @@ def run_sweep(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     processes = min(jobs, len(points), cpus or 1)
     if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with futures.ProcessPoolExecutor(max_workers=processes) as pool:
             outcomes = list(pool.map(_run_point, payloads, chunksize=4))
     else:
         outcomes = [_run_point(p) for p in payloads]

@@ -566,7 +566,7 @@ class TestUsageErrors:
         "gen-n-zero": ({}, [*SIMULATE_ME, "--gen-n", "0"], ["count must be >= 1, got 0"]),
         "workers-id-beyond-int64": ({"w.csv": HEADER + "0,0.5,3\n9223372036854775808,0.5,3\n"},
                                     [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],
-                                    ["w.csv:3: worker id must be in [0, 2**63), "
+                                    ["w.csv:3: worker id must be a whole number in [0, 2**63), "
                                      "got 9223372036854775808"]),
         "workers-capacity-2**63": ({"w.csv": HEADER + f"0,0.5,{2**63}\n"},
                                    [*SIMULATE_ME, "--workers", "{tmp}/w.csv"],

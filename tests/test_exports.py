@@ -52,4 +52,4 @@ def test_source_lines_stay_within_their_ceiling():
     # argues the new figure in CHANGES.md, as TestCallBudget's figures are; one
     # that shrinks src/ lowers it to the new count.
     total = sum(len(path.read_text().splitlines()) for path in SOURCE.glob("*.py"))
-    assert total <= 1403
+    assert total <= 1408

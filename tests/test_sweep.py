@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +129,7 @@ class TestGrid:
 
         spec = tiny_spec(lf_grid=(0.1,))
         serial = run_sweep(spec, tiny_population)
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(sweep_mod.futures, "ProcessPoolExecutor", InProcessPool)
         if affinity:  # the machine has more CPUs than this process may use
             monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
@@ -137,6 +140,24 @@ class TestGrid:
         assert run_sweep(spec, tiny_population, jobs=jobs) == serial
         # one process runs the grid in this one, with no pool
         assert sizes == ([processes] if processes > 1 else [])
+
+    def test_a_run_without_a_pool_never_loads_one(self):
+        # concurrent.futures loads its process pool on first use, so importing the
+        # package, a run and a one-job sweep leave multiprocessing unloaded.
+        script = (
+            "import sys, workrest\n"
+            "from workrest import PolicyParams, PopulationSpec, SimConfig, SweepSpec\n"
+            "population = workrest.generate(PopulationSpec(count=4))\n"
+            "workrest.run(SimConfig(5, 0.5, PolicyParams('me')), population)\n"
+            "workrest.run_sweep(SweepSpec(policies=('me',), lf_grid=(0.5,), slots=5),\n"
+            "                   population, jobs=1)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('concurrent.futures.process', 'multiprocessing')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sweep_mod.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout == "[]\n"
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, tiny_population, jobs):

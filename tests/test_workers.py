@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ class TestWorkerProfile:
         [
             dict(id=-1, reputation=0.5, mu_max=3),
             dict(id=2**63, reputation=0.5, mu_max=3),
+            dict(id=2.5, reputation=0.5, mu_max=3),
             dict(id=0, reputation=-0.1, mu_max=3),
             dict(id=0, reputation=1.5, mu_max=3),
             dict(id=0, reputation=0.5, mu_max=0),
@@ -45,10 +49,39 @@ class TestWorkerProfile:
             WorkerProfile(**kwargs)
 
     def test_whole_float_capacity_is_stored_as_an_int_and_round_trips(self, tmp_path):
-        p = WorkerProfile(id=0, reputation=0.5, mu_max=3.0)
-        assert type(p.mu_max) is int
+        p = WorkerProfile(id=2.0, reputation=0.5, mu_max=3.0)
+        assert (p.id, type(p.id), type(p.mu_max)) == (2, int, int)
+        assert type(WorkerProfile(True, 0.5, 3).id) is int
         write_csv(str(tmp_path / "w.csv"), [p])
         assert load_csv(str(tmp_path / "w.csv")) == [p]
+
+    def test_record_is_three_slots_without_an_instance_dict(self):
+        p = WorkerProfile(3, 0.5, 7)
+        assert WorkerProfile.__slots__ == ("id", "reputation", "mu_max")
+        assert not hasattr(p, "__dict__")
+        assert repr(p) == "WorkerProfile(id=3, reputation=0.5, mu_max=7)"
+        assert p == WorkerProfile(3.0, 0.5, 7) and hash(p) == hash(WorkerProfile(3, 0.5, 7.0))
+
+    @pytest.mark.parametrize("field", ["id", "reputation", "mu_max"])
+    def test_fields_are_frozen(self, field):
+        p = WorkerProfile(3, 0.5, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, 1)
+        assert (p.id, p.reputation, p.mu_max) == (3, 0.5, 7)
+
+    def test_replace_is_checked_by_the_record(self):
+        message = r"^mu_max must be a whole number in \[1, 2\*\*53\], got 0$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(WorkerProfile(3, 0.5, 7), mu_max=0)
+
+    def test_pickle_round_trip_goes_through_init(self, monkeypatch):
+        p = WorkerProfile(3, 0.5, 7)
+        built = []
+        init = WorkerProfile.__init__
+        monkeypatch.setattr(WorkerProfile, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert built == [(3, 0.5, 7)]
 
 
 class TestComputeMu:
